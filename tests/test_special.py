@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from incomefit import models
 from incomefit.errors import ConvergenceError, DomainError, OverflowRangeError
 from incomefit.special import (
     DEFAULT_BUDGET,
@@ -88,6 +89,15 @@ class TestLogGamma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             log_gamma(-1.0)
+
+    @pytest.mark.parametrize("a", [1e-17, 1e-15])
+    def test_tiny_arguments_match_lgamma(self, a):
+        # log Gamma(a) ~ -log(a) near zero: finite, 39.14 at 1e-17
+        assert log_gamma(a) == math.lgamma(a)
+
+    def test_tiny_shape_gamma_density_is_positive(self):
+        value = models.pdf(models.gamma_model(1.0, 1e-17, 1000.0), 10.0)
+        assert math.isfinite(value) and value > 0.0
 
 
 class TestRegularizedGamma:
