@@ -43,13 +43,6 @@ EXIT_INPUT = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_FIT_FAILURE = 4
 
-_FAMILY_FLAGS = {
-    "gamma": "gamma",
-    "lognormal": "lognormal",
-    "bigamma": "bigamma",
-    "bilognormal": "bilognormal",
-}
-
 
 class _UsageError(Exception):
     pass
@@ -114,9 +107,6 @@ def _config_items(config):
     return tuple(items)
 
 
-_BOOLS = {"true": True, "false": False, "1": True, "0": False}
-
-
 def _parse_config_file(path):
     overrides = {}
     valid = {f.name: f.type for f in fields(FitConfig)}
@@ -152,14 +142,8 @@ def _build_config(args):
     kwargs = {}
     if getattr(args, "config", None):
         kwargs.update(_coerce_config(_parse_config_file(args.config)))
-    for flag, key in (
-        ("target", "target"),
-        ("weighting", "weighting"),
-        ("seed", "seed"),
-        ("max_iterations", "max_iterations"),
-        ("multistart", "multistart_count"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("target", "weighting", "seed", "max_iterations", "multistart_count"):
+        value = getattr(args, key, None)
         if value is not None:
             kwargs[key] = value
     try:
@@ -171,9 +155,7 @@ def _build_config(args):
 def _load(path):
     try:
         return load_histogram(path)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}")
-    except ParseError as exc:
+    except (OSError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}")
 
 
@@ -367,11 +349,11 @@ def build_parser():
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--weighting", choices=("uniform", "relative"), default=None)
         p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-        p.add_argument("--multistart", type=int, default=None)
+        p.add_argument("--multistart", dest="multistart_count", type=int, default=None)
 
     p_fit = sub.add_parser("fit", help="fit one family to one histogram")
     p_fit.add_argument("input")
-    p_fit.add_argument("--family", choices=tuple(_FAMILY_FLAGS), required=True)
+    p_fit.add_argument("--family", choices=models.FAMILIES, required=True)
     p_fit.add_argument(
         "--log-density",
         action="store_true",

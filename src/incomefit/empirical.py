@@ -109,6 +109,8 @@ class EmpiricalCurve:
             raise PreconditionError(f"kind must be {PDF!r} or {CCDF!r}, got {self.kind!r}")
         if x.ndim != 1 or x.shape != y.shape:
             raise PreconditionError("x and y must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(x > 0.0)):
+            raise PreconditionError("x must be finite and > 0")
         if np.any(np.diff(x) <= 0.0):
             raise PreconditionError("x must be strictly increasing")
         if np.any(y < 0.0):

@@ -38,10 +38,15 @@ _JITTER_SIGMA = 0.3
 # which slots of the canonical parameter vector are strictly positive and
 # therefore fitted as logarithms (mu of a log-normal stays linear)
 _POSITIVE_SLOTS = {
-    "gamma": (True, True, True),
-    "lognormal": (True, False, True),
-    "bigamma": (True, True, True, True, True, True),
-    "bilognormal": (True, False, True, True, False, True),
+    "gamma": np.array((True, True, True)),
+    "lognormal": np.array((True, False, True)),
+    "bigamma": np.array((True, True, True, True, True, True)),
+    "bilognormal": np.array((True, False, True, True, False, True)),
+}
+# the shapes, scales and sigmas, which must stay > 0; an amplitude (slot 0
+# of a component) may underflow to 0, giving a zero-mass component
+_NONZERO_SLOTS = {
+    family: pos & (np.arange(pos.size) % 3 > 0) for family, pos in _POSITIVE_SLOTS.items()
 }
 
 
@@ -111,10 +116,7 @@ def r_squared(observed, predicted, weights=None):
         raise PreconditionError("need at least 2 points")
     if np.any(w <= 0.0):
         raise PreconditionError("weights must be > 0")
-    mean = float(np.sum(w * obs) / np.sum(w))
-    ss_tot = float(np.sum(w * (obs - mean) ** 2))
-    if ss_tot == 0.0:
-        raise DomainError("observed values are all equal; R^2 undefined")
+    ss_tot = _weighted_ss_tot(obs, w)
     ss_res = float(np.sum(w * (obs - pred) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -125,14 +127,14 @@ def r_squared(observed, predicted, weights=None):
 
 def _to_unconstrained(family, vec):
     theta = np.array(vec, dtype=float)
-    pos = np.array(_POSITIVE_SLOTS[family])
+    pos = _POSITIVE_SLOTS[family]
     theta[pos] = np.log(np.maximum(theta[pos], 1e-300))
     return theta
 
 
 def _from_unconstrained(family, theta):
     vec = np.array(theta, dtype=float)
-    pos = np.array(_POSITIVE_SLOTS[family])
+    pos = _POSITIVE_SLOTS[family]
     with np.errstate(over="ignore", under="ignore"):
         vec[pos] = np.exp(vec[pos])
     return vec
@@ -141,18 +143,18 @@ def _from_unconstrained(family, theta):
 def _predict(family, theta, x, target):
     """Model ordinates for an unconstrained parameter vector, or None.
 
-    The exponential map plus the parameter-record validators guarantee the
-    model is never evaluated at non-positive sigma/n/m or negative A;
-    proposals that overflow or fail to converge are rejected by returning
-    None so the optimizer treats them as an infinitely bad step.
+    The exponential map keeps amplitudes, shapes, scales and sigmas >= 0.
+    A proposal is rejected by returning None, so the optimizer treats it as
+    an infinitely bad step, when a parameter is not finite, a shape, scale
+    or sigma underflows to 0, a kernel fails, or an ordinate is not finite.
+    An amplitude may underflow: a zero-mass component is valid.
     """
     with np.errstate(all="ignore"):
+        vec = _from_unconstrained(family, theta)
+        if not np.all(np.isfinite(vec)) or not np.all(vec[_NONZERO_SLOTS[family]] > 0.0):
+            return None
         try:
-            vec = _from_unconstrained(family, theta)
-            if not np.all(np.isfinite(vec)):
-                return None
-            spec = models.param_unpack(family, vec)
-            f = models.pdf(spec, x) if target == PDF else models.ccdf(spec, x)
+            f = models.evaluate(family, vec, x, target)
         except IncomeFitError:
             return None
     if not np.all(np.isfinite(f)):
@@ -377,7 +379,8 @@ def initialize(curve, family, strategy="auto"):
     (log-normal), amplitude from the curve's mass. valley-split: locate the
     deepest smoothed minimum between the two highest peaks, fit each side
     unimodally, concatenate; falls back to a median split when no interior
-    valley exists.
+    valley exists. Every string strategy resolves by family alone:
+    valley-split for bimodal families, moments for unimodal ones.
     """
     if isinstance(strategy, models.ModelSpec):
         if strategy.family != family:
@@ -385,12 +388,8 @@ def initialize(curve, family, strategy="auto"):
                 f"explicit init is for family {strategy.family!r}, fitting {family!r}"
             )
         return strategy
-    if strategy == "auto":
-        strategy = "valley-split" if models.is_bimodal(family) else "moments"
     if models.is_bimodal(family):
         return _valley_split_init(curve, family)
-    if strategy == "valley-split":
-        strategy = "moments"  # no components to split for a unimodal family
     return models.ModelSpec(family, _moments_init(curve, family))
 
 
@@ -462,28 +461,20 @@ def _weighted_ss_tot(y, weights):
     mean = float(np.sum(weights * y) / np.sum(weights))
     ss_tot = float(np.sum(weights * (y - mean) ** 2))
     if ss_tot == 0.0:
-        raise DomainError("curve ordinates are all equal; R^2 undefined")
+        raise DomainError("observed values are all equal; R^2 undefined")
     return ss_tot
 
 
-def _perturbed_embedding(unimodal_model):
-    """Bimodal spec seeded at the unimodal optimum plus a faint second bump."""
+def _embedding(unimodal_model, second_share):
+    """Bimodal spec: the unimodal component plus a second bump shifted by +1
+    in log income, with second_share times the first one's amplitude."""
     family = models.bimodal_counterpart(unimodal_model.family)
     p = unimodal_model.params
+    amplitude = second_share * p.amplitude
     if unimodal_model.family == "gamma":
-        second = models.GammaParams(0.05 * p.amplitude, p.shape, p.scale * math.e)
+        second = models.GammaParams(amplitude, p.shape, p.scale * math.e)
         return models.ModelSpec(family, models.BiGammaParams(p, second))
-    second = models.LogNormalParams(0.05 * p.amplitude, p.mu + 1.0, p.sigma)
-    return models.ModelSpec(family, models.BiLogNormalParams(p, second))
-
-
-def _degenerate_embedding(unimodal_model):
-    family = models.bimodal_counterpart(unimodal_model.family)
-    p = unimodal_model.params
-    if unimodal_model.family == "gamma":
-        second = models.GammaParams(0.0, p.shape, p.scale * math.e)
-        return models.ModelSpec(family, models.BiGammaParams(p, second))
-    second = models.LogNormalParams(0.0, p.mu + 1.0, p.sigma)
+    second = models.LogNormalParams(amplitude, p.mu + 1.0, p.sigma)
     return models.ModelSpec(family, models.BiLogNormalParams(p, second))
 
 
@@ -506,12 +497,12 @@ def refit_nested(curve, unimodal_result, config=None):
     uni_pred = target_fn(unimodal_result.model, curve.x)
     uni_ss = float(np.sum(weights * (curve.y - uni_pred) ** 2))
 
-    seed_spec = _perturbed_embedding(unimodal_result.model)
+    seed_spec = _embedding(unimodal_result.model, 0.05)
     attempt = fit(curve, family, replace(config, init_strategy=seed_spec))
     if attempt.ss_res <= uni_ss + 1e-12:
         return attempt
 
-    embedded = _degenerate_embedding(unimodal_result.model)
+    embedded = _embedding(unimodal_result.model, 0.0)
     ss_tot = _weighted_ss_tot(curve.y, weights)
     return FitResult(
         model=embedded,

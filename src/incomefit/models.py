@@ -17,7 +17,7 @@ Canonical parameter vectors:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "pdf",
     "cdf",
     "ccdf",
+    "evaluate",
     "total_amplitude",
     "sample",
     "param_pack",
@@ -57,9 +58,17 @@ FAMILIES = ("gamma", "lognormal", "bigamma", "bilognormal")
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _check_finite(name, value):
-    if not np.isfinite(value):
-        raise PreconditionError(f"{name} must be finite, got {value}")
+def _validate(params, positive):
+    """Every field finite, the amplitude >= 0 and the named fields > 0."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not np.isfinite(value):
+            raise PreconditionError(f"{f.name} must be finite, got {value}")
+    if params.amplitude < 0.0:
+        raise PreconditionError(f"amplitude must be >= 0, got {params.amplitude}")
+    for name in positive:
+        if getattr(params, name) <= 0.0:
+            raise PreconditionError(f"{name} must be > 0, got {getattr(params, name)}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +80,7 @@ class LogNormalParams:
     sigma: float
 
     def __post_init__(self):
-        for name in ("amplitude", "mu", "sigma"):
-            _check_finite(name, getattr(self, name))
-        if self.amplitude < 0.0:
-            raise PreconditionError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.sigma <= 0.0:
-            raise PreconditionError(f"sigma must be > 0, got {self.sigma}")
+        _validate(self, ("sigma",))
 
 
 @dataclass(frozen=True)
@@ -88,14 +92,7 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        for name in ("amplitude", "shape", "scale"):
-            _check_finite(name, getattr(self, name))
-        if self.amplitude < 0.0:
-            raise PreconditionError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.shape <= 0.0:
-            raise PreconditionError(f"shape must be > 0, got {self.shape}")
-        if self.scale <= 0.0:
-            raise PreconditionError(f"scale must be > 0, got {self.scale}")
+        _validate(self, ("shape", "scale"))
 
 
 @dataclass(frozen=True)
@@ -213,100 +210,90 @@ def total_amplitude(model):
     return float(sum(p.amplitude for _, p in _components(model)))
 
 
-def _lognormal_pdf(p, x):
-    if p.amplitude == 0.0:
+def _gamma_component(amplitude, shape, scale, x, which):
+    if amplitude == 0.0:
         return np.zeros_like(x)
-    z = (np.log(x) - p.mu) / p.sigma
-    return p.amplitude / (x * p.sigma * _SQRT_TWO_PI) * np.exp(-0.5 * z * z)
-
-
-def _gamma_pdf(p, x):
-    if p.amplitude == 0.0:
-        return np.zeros_like(x)
+    if which == "cdf":
+        return amplitude * reg_lower_incomplete_gamma(shape, x / scale)
+    if which == "ccdf":
+        # upper incomplete gamma directly: keeps tail structure, no cancellation
+        return amplitude * reg_upper_incomplete_gamma(shape, x / scale)
     # log-space evaluation: finite for any valid parameters, underflows to 0
     log_f = (
-        math.log(p.amplitude)
-        - log_gamma(p.shape)
-        - p.shape * math.log(p.scale)
-        + (p.shape - 1.0) * np.log(x)
-        - x / p.scale
+        math.log(amplitude)
+        - log_gamma(shape)
+        - shape * math.log(scale)
+        + (shape - 1.0) * np.log(x)
+        - x / scale
     )
     with np.errstate(under="ignore"):
         return np.exp(log_f)
 
 
-def _lognormal_cdf(p, x):
-    out = np.zeros_like(x)
+def _lognormal_component(amplitude, mu, sigma, x, which):
+    if amplitude == 0.0:
+        return np.zeros_like(x)
+    if which == "pdf":
+        z = (np.log(x) - mu) / sigma
+        return amplitude / (x * sigma * _SQRT_TWO_PI) * np.exp(-0.5 * z * z)
+    out = np.zeros_like(x) if which == "cdf" else np.full_like(x, amplitude)
     pos = x > 0.0
-    if p.amplitude != 0.0 and pos.any():
-        z = (np.log(x[pos]) - p.mu) / p.sigma
-        out[pos] = p.amplitude * std_normal_cdf(z)
+    if pos.any():
+        z = (np.log(x[pos]) - mu) / sigma
+        out[pos] = amplitude * std_normal_cdf(z if which == "cdf" else -z)
     return out
 
 
-def _gamma_cdf(p, x):
-    if p.amplitude == 0.0:
-        return np.zeros_like(x)
-    return p.amplitude * reg_lower_incomplete_gamma(p.shape, x / p.scale)
-
-
-def _lognormal_ccdf(p, x):
-    out = np.full_like(x, p.amplitude)
-    pos = x > 0.0
-    if p.amplitude != 0.0 and pos.any():
-        z = (np.log(x[pos]) - p.mu) / p.sigma
-        out[pos] = p.amplitude * std_normal_cdf(-z)
-    return out
-
-
-def _gamma_ccdf(p, x):
-    if p.amplitude == 0.0:
-        return np.zeros_like(x)
-    # upper incomplete gamma directly: keeps tail structure, no cancellation
-    return p.amplitude * reg_upper_incomplete_gamma(p.shape, x / p.scale)
-
-
-_EVALUATORS = {
-    ("lognormal", "pdf"): _lognormal_pdf,
-    ("lognormal", "cdf"): _lognormal_cdf,
-    ("lognormal", "ccdf"): _lognormal_ccdf,
-    ("gamma", "pdf"): _gamma_pdf,
-    ("gamma", "cdf"): _gamma_cdf,
-    ("gamma", "ccdf"): _gamma_ccdf,
+_COMPONENT = {
+    "gamma": _gamma_component,
+    "lognormal": _lognormal_component,
+    "bigamma": _gamma_component,
+    "bilognormal": _lognormal_component,
 }
 
 
-def _evaluate(model, x, which, x_min_exclusive):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("x must be finite")
-    if x_min_exclusive and not np.all(arr > 0.0):
-        raise DomainError("x must be > 0")
-    if not x_min_exclusive and not np.all(arr >= 0.0):
-        raise DomainError("x must be >= 0")
-    flat = np.atleast_1d(arr)
-    out = np.zeros_like(flat)
-    for kind, params in _components(model):
-        out = out + _EVALUATORS[(kind, which)](params, flat)
-    out = out.reshape(arr.shape)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
+def evaluate(family, vec, x, which):
+    """Summed "pdf", "cdf" or "ccdf" ordinates at a float array or numpy float x.
+
+    vec is the family's canonical parameter vector, three slots per
+    component. Nothing is validated: callers guarantee positive shapes,
+    scales and sigmas, non-negative amplitudes and x in the domain.
+    """
+    component = _COMPONENT[family]
+    v = [float(t) for t in vec]
+    out = component(*v[:3], x, which)
+    if len(v) == 6:
+        out = out + component(*v[3:], x, which)
     return out
+
+
+def _evaluate_model(model, x, which):
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("x must be finite")
+    if which == "pdf" and not (arr > 0.0).all():
+        raise DomainError("x must be > 0")
+    if which != "pdf" and not (arr >= 0.0).all():
+        raise DomainError("x must be >= 0")
+    if arr.ndim == 0:
+        # a numpy float runs the same formulas in numpy's faster scalar math
+        return float(evaluate(model.family, param_pack(model), arr[()], which))
+    return evaluate(model.family, param_pack(model), arr, which)
 
 
 def pdf(model, x):
     """Probability density per income unit at x > 0."""
-    return _evaluate(model, x, "pdf", x_min_exclusive=True)
+    return _evaluate_model(model, x, "pdf")
 
 
 def cdf(model, x):
     """Cumulative mass below x >= 0; rises from 0 to the total amplitude."""
-    return _evaluate(model, x, "cdf", x_min_exclusive=False)
+    return _evaluate_model(model, x, "cdf")
 
 
 def ccdf(model, x):
     """Tail mass above x >= 0; falls from the total amplitude to 0."""
-    return _evaluate(model, x, "ccdf", x_min_exclusive=False)
+    return _evaluate_model(model, x, "ccdf")
 
 
 def sample(model, count, seed):
@@ -356,6 +343,8 @@ def param_pack(model):
 
 def param_unpack(family, vector):
     """Build a ModelSpec from a canonical parameter vector."""
+    if family not in FAMILIES:
+        raise PreconditionError(f"unknown family {family!r}")
     vec = np.asarray(vector, dtype=float)
     expected = family_param_count(family)
     if vec.shape != (expected,):
@@ -363,15 +352,10 @@ def param_unpack(family, vector):
             f"family {family!r} needs {expected} parameters, got {vec.shape}"
         )
     v = [float(t) for t in vec]
-    if family == "gamma":
-        return gamma_model(*v)
-    if family == "lognormal":
-        return lognormal_model(*v)
-    if family == "bigamma":
-        return bigamma_model(*v)
-    if family == "bilognormal":
-        return bilognormal_model(*v)
-    raise PreconditionError(f"unknown family {family!r}")
+    if not is_bimodal(family):
+        return ModelSpec(family, _PARAMS_TYPE[family](*v))
+    kind = _PARAMS_TYPE[unimodal_counterpart(family)]
+    return ModelSpec(family, _PARAMS_TYPE[family](kind(*v[:3]), kind(*v[3:])))
 
 
 def format_model(model):

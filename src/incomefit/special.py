@@ -58,15 +58,16 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _TINY = sys.float_info.min / sys.float_info.epsilon
 _SQRT2 = math.sqrt(2.0)
 
+
 def _as_array(x, name, require=None):
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise DomainError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
-    if require == "positive" and not np.all(arr > 0.0):
+    if require == "positive" and not (arr > 0.0).all():
         raise DomainError(f"{name} must be > 0")
-    if require == "nonnegative" and not np.all(arr >= 0.0):
+    if require == "nonnegative" and not (arr >= 0.0).all():
         raise DomainError(f"{name} must be >= 0")
     return arr
 
@@ -78,7 +79,10 @@ def _maybe_scalar(value, *inputs):
 
 
 def _elementwise(fn, arr):
-    """fn applied to each element of a float array, keeping its shape."""
+    """fn applied to each element of a float array, keeping its shape; a
+    0-d array gives a float."""
+    if arr.ndim == 0:
+        return fn(float(arr))
     return np.array([fn(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 

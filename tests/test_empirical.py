@@ -281,6 +281,11 @@ class TestTypeInvariants:
             EmpiricalCurve([1.0, 2.0], [0.5, 0.9], "ccdf")  # increasing ccdf
         with pytest.raises(PreconditionError):
             EmpiricalCurve([1.0, 2.0], [1.0, 0.5], "spectrum")
+        for x in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(PreconditionError):
+                EmpiricalCurve(x, [1.0, 1.0], "pdf")
+            with pytest.raises(PreconditionError):
+                EmpiricalCurve(x, [1.0, 0.5], "ccdf")
 
     def test_arrays_are_readonly(self):
         h = IncomeHistogram([100.0, 200.0, 400.0], [0.5, 0.5])

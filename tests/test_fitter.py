@@ -315,6 +315,29 @@ class TestInvariants:
         f = _predict(family, sane, x, "pdf")
         assert f is not None and np.all(np.isfinite(f))
 
+    @pytest.mark.parametrize("target", ["pdf", "ccdf"])
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_shim_underflow_rules(self, family, target):
+        # exp(-800) underflows to 0.0: a zero shape, scale or sigma is
+        # rejected, a zero amplitude is a valid zero-mass component
+        x = np.geomspace(10.0, 1e4, 20)
+        vec = models.param_pack(TRUTHS[family])
+        theta = _to_unconstrained(family, vec)
+        must_stay_positive = (1, 2) if "gamma" in family else (2,)
+        evaluate = models.pdf if target == "pdf" else models.ccdf
+        for j in range(theta.size):
+            low = theta.copy()
+            low[j] = -800.0
+            f = _predict(family, low, x, target)
+            if j % 3 == 0:
+                zero_mass = vec.copy()
+                zero_mass[j] = 0.0
+                expected = evaluate(models.param_unpack(family, zero_mass), x)
+                assert f is not None
+                assert f == pytest.approx(expected, rel=1e-12, abs=0.0)
+            elif j % 3 in must_stay_positive:
+                assert f is None
+
     def test_transform_round_trip(self):
         for family, truth in TRUTHS.items():
             vec = models.param_pack(truth)
