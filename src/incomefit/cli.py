@@ -109,39 +109,33 @@ def _config_items(config):
 
 def _parse_config_file(path):
     overrides = {}
-    valid = {f.name: f.type for f in fields(FitConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key = value, got {line!r}", lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in valid:
-                raise ParseError(f"unknown config key {key!r}", lineno)
-            overrides[key] = value
+    defaults = {f.name: f.default for f in fields(FitConfig)}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ParseError(f"expected key = value, got {line!r}", lineno)
+                key, _, value = line.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if key not in defaults:
+                    raise ParseError(f"unknown config key {key!r}", lineno)
+                try:
+                    overrides[key] = type(defaults[key])(value)
+                except ValueError:
+                    raise ParseError(f"bad value {value!r} for {key}", lineno) from None
+    except (OSError, ParseError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return overrides
-
-
-def _coerce_config(overrides):
-    kwargs = {}
-    for key, value in overrides.items():
-        if key in ("max_iterations", "multistart_count", "seed"):
-            kwargs[key] = int(value)
-        elif key in ("target", "weighting", "init_strategy"):
-            kwargs[key] = value
-        else:
-            kwargs[key] = float(value)
-    return kwargs
 
 
 def _build_config(args):
     kwargs = {}
     if getattr(args, "config", None):
-        kwargs.update(_coerce_config(_parse_config_file(args.config)))
+        kwargs.update(_parse_config_file(args.config))
     for key in ("target", "weighting", "seed", "max_iterations", "multistart_count"):
         value = getattr(args, key, None)
         if value is not None:

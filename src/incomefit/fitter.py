@@ -180,6 +180,7 @@ def _jacobian(family, theta, x, target, f0, rel_step, sqrt_w):
 # the Levenberg-Marquardt core
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lm_run(family, theta0, x, y, weights, target, config):
     """One damped Gauss-Newton descent. Returns None for a diverged start."""
     sqrt_w = np.sqrt(weights)
@@ -236,6 +237,8 @@ def _lm_run(family, theta0, x, y, weights, target, config):
         elif ss == 0.0:
             converged = True
 
+    if not math.isfinite(ss):
+        return None
     return theta, ss, iterations, converged, f
 
 
@@ -278,24 +281,19 @@ def _moments_params(x, y, subfamily, mass):
         # flat or empty stretch: fall back to a broad mid-range guess
         mid = math.sqrt(float(x[0]) * float(x[-1]))
         if subfamily == "gamma":
-            return models.GammaParams(max(mass, 1e-6), 1.5, mid)
-        return models.LogNormalParams(max(mass, 1e-6), math.log(mid), 1.0)
+            return np.array((max(mass, 1e-6), 1.5, mid))
+        return np.array((max(mass, 1e-6), math.log(mid), 1.0))
     if subfamily == "gamma":
         mean = float(np.trapezoid(x * y, x)) / total
         var = float(np.trapezoid((x - mean) ** 2 * y, x)) / total
         if var <= 0.0:
-            return models.GammaParams(mass, 1.5, mean)
-        return models.GammaParams(mass, mean * mean / var, var / mean)
+            return np.array((mass, 1.5, mean))
+        return np.array((mass, mean * mean / var, var / mean))
     log_x = np.log(x)
     mu = float(np.trapezoid(log_x * y, x)) / total
     var = float(np.trapezoid((log_x - mu) ** 2 * y, x)) / total
     sigma = math.sqrt(var) if var > 1e-6 else 1e-3
-    return models.LogNormalParams(mass, mu, sigma)
-
-
-def _moments_init(curve, subfamily):
-    x, y = _density_points(curve)
-    return _moments_params(x, y, subfamily, _curve_mass(curve))
+    return np.array((mass, mu, sigma))
 
 
 def _smooth5(y):
@@ -332,24 +330,17 @@ def _median_split(x, y):
 
 
 def _side_refine(x, y, subfamily, start):
-    """Short single-start LM polish of a side's moment estimate."""
-    theta0 = _to_unconstrained(
-        subfamily, models.param_pack(models.ModelSpec(subfamily, start))
-    )
+    """Short single-start LM polish of a side's moment estimate vector."""
+    theta0 = _to_unconstrained(subfamily, start)
     cfg = FitConfig(target=PDF, max_iterations=60, multistart_count=1)
     out = _lm_run(subfamily, theta0, x, y, np.ones_like(y), PDF, cfg)
     if out is None:
         return start
-    vec = _from_unconstrained(subfamily, out[0])
-    try:
-        return models.param_unpack(subfamily, vec).params
-    except IncomeFitError:
-        return start
+    return _from_unconstrained(subfamily, out[0])
 
 
-def _valley_split_init(curve, family):
+def _valley_split_init(x, y, family):
     subfamily = models.unimodal_counterpart(family)
-    x, y = _density_points(curve)
     split = _find_valley(x, y)
     if split is None or not (x[0] < split < x[-1]):
         split = _median_split(x, y)
@@ -363,13 +354,11 @@ def _valley_split_init(curve, family):
     for side in (left, right):
         xs, ys = x[side], y[side]
         mass = float(np.trapezoid(ys, xs)) if xs.size > 1 else float(ys.sum())
-        params = _moments_params(xs, ys, subfamily, max(mass, 1e-9))
+        vec = _moments_params(xs, ys, subfamily, max(mass, 1e-9))
         if xs.size >= 4:
-            params = _side_refine(xs, ys, subfamily, params)
-        halves.append(params)
-    if family == "bigamma":
-        return models.ModelSpec(family, models.BiGammaParams(*halves))
-    return models.ModelSpec(family, models.BiLogNormalParams(*halves))
+            vec = _side_refine(xs, ys, subfamily, vec)
+        halves.append(vec)
+    return np.concatenate(halves)
 
 
 def initialize(curve, family, strategy="auto"):
@@ -388,9 +377,12 @@ def initialize(curve, family, strategy="auto"):
                 f"explicit init is for family {strategy.family!r}, fitting {family!r}"
             )
         return strategy
+    x, y = _density_points(curve)
     if models.is_bimodal(family):
-        return _valley_split_init(curve, family)
-    return models.ModelSpec(family, _moments_init(curve, family))
+        vec = _valley_split_init(x, y, family)
+    else:
+        vec = _moments_params(x, y, family, _curve_mass(curve))
+    return models.param_unpack(family, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +461,12 @@ def _embedding(unimodal_model, second_share):
     """Bimodal spec: the unimodal component plus a second bump shifted by +1
     in log income, with second_share times the first one's amplitude."""
     family = models.bimodal_counterpart(unimodal_model.family)
-    p = unimodal_model.params
-    amplitude = second_share * p.amplitude
+    first = models.param_pack(unimodal_model)
     if unimodal_model.family == "gamma":
-        second = models.GammaParams(amplitude, p.shape, p.scale * math.e)
-        return models.ModelSpec(family, models.BiGammaParams(p, second))
-    second = models.LogNormalParams(amplitude, p.mu + 1.0, p.sigma)
-    return models.ModelSpec(family, models.BiLogNormalParams(p, second))
+        second = first * (second_share, 1.0, math.e)
+    else:
+        second = first * (second_share, 1.0, 1.0) + (0.0, 1.0, 0.0)
+    return models.param_unpack(family, np.concatenate((first, second)))
 
 
 def refit_nested(curve, unimodal_result, config=None):
@@ -493,8 +484,8 @@ def refit_nested(curve, unimodal_result, config=None):
     family = models.bimodal_counterpart(uni_family)
 
     weights = _curve_weights(curve, config.weighting)
-    target_fn = models.pdf if config.target == PDF else models.ccdf
-    uni_pred = target_fn(unimodal_result.model, curve.x)
+    uni_vec = models.param_pack(unimodal_result.model)
+    uni_pred = models.evaluate(uni_family, uni_vec, curve.x, config.target)
     uni_ss = float(np.sum(weights * (curve.y - uni_pred) ** 2))
 
     seed_spec = _embedding(unimodal_result.model, 0.05)

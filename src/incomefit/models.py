@@ -197,17 +197,9 @@ def bimodal_counterpart(family):
     return {"gamma": "bigamma", "lognormal": "bilognormal"}[family]
 
 
-def _components(model):
-    if is_bimodal(model.family):
-        kind = "gamma" if model.family == "bigamma" else "lognormal"
-        return ((kind, model.params.component1), (kind, model.params.component2))
-    kind = model.family
-    return ((kind, model.params),)
-
-
 def total_amplitude(model):
     """Sum of component amplitudes; the x -> inf limit of the CDF."""
-    return float(sum(p.amplitude for _, p in _components(model)))
+    return float(sum(param_pack(model)[::3]))
 
 
 def _gamma_component(amplitude, shape, scale, x, which):
@@ -311,34 +303,37 @@ def sample(model, count, seed):
             f"sampling requires amplitudes summing to 1, got {total!r}"
         )
     rng = np.random.default_rng(seed)
-    comps = _components(model)
+    comps = param_pack(model).reshape(-1, 3)
     out = np.empty(count, dtype=float)
     if len(comps) == 1:
         selectors = [np.ones(count, dtype=bool)]
     else:
         u = rng.random(count)
-        first = u < comps[0][1].amplitude
+        first = u < comps[0, 0]
         selectors = [first, ~first]
-    for (kind, params), mask in zip(comps, selectors):
+    for (_, a, b), mask in zip(comps, selectors):
         k = int(mask.sum())
         if k == 0:
             continue
-        if kind == "lognormal":
-            out[mask] = np.exp(params.mu + params.sigma * rng.standard_normal(k))
+        if model.family in ("lognormal", "bilognormal"):
+            out[mask] = np.exp(a + b * rng.standard_normal(k))
         else:
-            out[mask] = params.scale * rng.standard_gamma(params.shape, k)
+            out[mask] = b * rng.standard_gamma(a, k)
     return out
 
 
 def param_pack(model):
     """Flatten a model to its canonical parameter vector."""
-    values = []
-    for _, p in _components(model):
-        if isinstance(p, GammaParams):
-            values.extend((p.amplitude, p.shape, p.scale))
-        else:
-            values.extend((p.amplitude, p.mu, p.sigma))
-    return np.array(values, dtype=float)
+    p = model.params
+    if is_bimodal(model.family):
+        return np.array(_slots(p.component1) + _slots(p.component2), dtype=float)
+    return np.array(_slots(p), dtype=float)
+
+
+def _slots(p):
+    if isinstance(p, GammaParams):
+        return (p.amplitude, p.shape, p.scale)
+    return (p.amplitude, p.mu, p.sigma)
 
 
 def param_unpack(family, vector):

@@ -128,6 +128,22 @@ class TestFit:
         assert "# config target: pdf" in text
         assert "# config seed: 4" in text
 
+    @pytest.mark.parametrize("entry", ["seed = abc", "step_tol = 1e-9x"])
+    def test_config_value_error_exit_two(self, tmp_path, capsys, entry):
+        config = tmp_path / "fit.conf"
+        config.write_text(f"# fit settings\n{entry}\n")
+        code = main(["fit", str(BIMODAL), "--family", "gamma", "--config", str(config),
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_missing_config_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "nope.conf"
+        code = main(["fit", str(BIMODAL), "--family", "gamma", "--config", str(config),
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert str(config) in capsys.readouterr().err
+
     def test_log_density_flag(self, tmp_path):
         out = tmp_path / "result.txt"
         code = main(

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import binned_histogram, exact_curve
+from conftest import FIXTURES, binned_histogram, exact_curve
 from incomefit import models
-from incomefit.empirical import EmpiricalCurve, to_pdf_curve
+from incomefit.empirical import EmpiricalCurve, load_histogram, to_ccdf_curve, to_pdf_curve
 from incomefit.errors import DomainError, FitFailureError, PreconditionError
 from incomefit.fitter import (
     FitConfig,
@@ -30,6 +30,31 @@ TRUTHS = {
     "bilognormal": models.bilognormal_model(
         0.55, math.log(600.0), 0.6, 0.45, math.log(9000.0), 0.55
     ),
+}
+
+# initial parameter vectors on the bimodal fixture's unnormalized curves;
+# initialization must reproduce them bit for bit
+FROZEN_INITS = {
+    ("pdf", "gamma"): [1.0017928514756955, 0.642188388517464, 7937.133400915537],
+    ("pdf", "lognormal"): [1.0017928514756955, 7.614818369184042, 1.465750746465208],
+    ("pdf", "bigamma"): [
+        0.5005554838385553, 3.964335691263879, 153.81749357535548,
+        0.4383040517080168, 3.8427213377996607, 2441.897301244382,
+    ],
+    ("pdf", "bilognormal"): [
+        0.5506867928794698, 6.398479715354117, 0.6020522753119751,
+        0.4577436722861857, 9.106636435724374, 0.5665258916203104,
+    ],
+    ("ccdf", "gamma"): [0.9998733812373075, 0.647974050734858, 7847.764159509838],
+    ("ccdf", "lognormal"): [0.9998733812373075, 7.613984549622739, 1.4650188549999932],
+    ("ccdf", "bigamma"): [
+        0.5005554838357803, 3.9643356913386083, 153.8174935717451,
+        0.438304194401235, 3.8427188749806094, 2441.899473399799,
+    ],
+    ("ccdf", "bilognormal"): [
+        0.5506867928794219, 6.398479715354028, 0.6020522753118933,
+        0.4577439455601311, 9.106636862413012, 0.566526269035628,
+    ],
 }
 
 
@@ -126,6 +151,15 @@ class TestPreconditions:
             fit(curve, "gamma", FitConfig(target="ccdf", init_strategy=init,
                                           multistart_count=3))
 
+    def test_overflowing_sum_of_squares_raises(self):
+        # an amplitude of 1e200 overflows the sum of squares: the start has
+        # diverged, it must not come back as a fit with R^2 = -inf
+        curve = to_ccdf_curve(load_histogram(FIXTURES / "synthetic_bimodal.csv"))
+        init = models.gamma_model(1e200, 2.0, 1000.0)
+        with pytest.raises(FitFailureError):
+            fit(curve, "gamma", FitConfig(target="ccdf", init_strategy=init,
+                                          multistart_count=1))
+
 
 class TestInitialize:
     def test_moments_within_basin(self):
@@ -170,6 +204,13 @@ class TestInitialize:
         curve = exact_curve(truth, "ccdf")
         init = initialize(curve, "bilognormal")
         assert init.family == "bilognormal"
+
+    @pytest.mark.parametrize("kind, family", sorted(FROZEN_INITS))
+    def test_initial_vectors_frozen(self, kind, family):
+        hist = load_histogram(FIXTURES / "synthetic_bimodal.csv")
+        curve = to_pdf_curve(hist) if kind == "pdf" else to_ccdf_curve(hist)
+        packed = models.param_pack(initialize(curve, family))
+        assert [float(v) for v in packed] == FROZEN_INITS[kind, family]
 
 
 class TestRefitNested:
