@@ -125,6 +125,10 @@ def _parse_config_file(path):
                     raise ParseError(f"unknown config key {key!r}", lineno)
                 try:
                     overrides[key] = type(defaults[key])(value)
+                    # FitConfig's range checks each look at one field
+                    FitConfig(**{key: overrides[key]})
+                except PreconditionError as exc:
+                    raise ParseError(str(exc), lineno) from None
                 except ValueError:
                     raise ParseError(f"bad value {value!r} for {key}", lineno) from None
     except (OSError, ParseError) as exc:

@@ -2,9 +2,13 @@
 
 Everything the model CDFs/CCDFs need, with double-precision accuracy.
 Log-gamma, erf and the normal CDF apply the math module's lgamma, erf and
-erfc element by element; the regularized incomplete gamma is evaluated here
-by series and continued fraction. All functions accept scalars or numpy
-arrays and are pure and reentrant.
+erfc element by element. The regularized incomplete gamma is evaluated here:
+its series and continued fraction run element by element on Python floats,
+each element stopping at its own convergence, while the prefactor
+exp(-x + a log x - log Gamma(a)) is computed in numpy. numpy's exp differs
+from math.exp in the last bit on a few percent of arguments, so the numpy
+prefactor keeps P and Q bit-identical to the array loops they replaced.
+All functions accept scalars or numpy arrays and are pure and reentrant.
 """
 
 import math
@@ -110,83 +114,69 @@ def gamma_fn(a):
     return _maybe_scalar(np.exp(lg), a)
 
 
-def _lower_series(a, x, budget):
-    """Regularized lower incomplete gamma by series; requires x < a + 1."""
-    term = 1.0 / a
-    total = term.copy()
-    denom = a.copy()
-    active = x > 0.0
-    term_tol = budget.abs_tol * 1e-2
-    for n in range(1, budget.max_series_terms + 1):
-        denom = np.where(active, denom + 1.0, denom)
-        term = np.where(active, term * x / denom, term)
-        total = np.where(active, total + term, total)
-        active = active & (np.abs(term) >= np.abs(total) * term_tol)
-        if not active.any():
-            break
-    else:
+def _series_or_fraction(a, x, budget):
+    """The part of P or Q that needs iterating, for one (a, x) pair of floats.
+
+    Below the regime split (x < a + 1) this is the series sum S with
+    P = S * prefix; above it the modified Lentz continued fraction H with
+    Q = H * prefix, where prefix = exp(-x + a log x - log Gamma(a)). Each
+    pair stops at its own convergence; a NaN stops it, as a failed
+    comparison does.
+    """
+    tol = budget.abs_tol * 1e-2
+    if x < a + 1.0:
+        if x == 0.0:
+            return 0.0
+        term = total = 1.0 / a
+        denom = a
+        for _ in range(budget.max_series_terms):
+            denom += 1.0
+            term = term * x / denom
+            total += term
+            if not abs(term) >= abs(total) * tol:
+                return total
         raise ConvergenceError(
             "incomplete gamma series did not converge", budget.max_series_terms
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_prefix = -x + a * np.log(x) - log_gamma(a)
-    p = np.where(x > 0.0, total * np.exp(log_prefix), 0.0)
-    return p
-
-
-def _upper_continued_fraction(a, x, budget):
-    """Regularized upper incomplete gamma by modified Lentz CF; requires x >= a + 1."""
     b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    tol = budget.abs_tol * 1e-2
+    c = 1.0 / _TINY
+    # b is 0 only where x + 1 rounds to a (a >= 2**53); IEEE 1/0 is inf
+    d = 1.0 / b if b else math.inf
+    h = d
     for i in range(1, budget.max_cf_iterations + 1):
         an = -i * (i - a)
-        b = np.where(active, b + 2.0, b)
-        d_new = an * d + b
-        d_new = np.where(np.abs(d_new) < _TINY, _TINY, d_new)
-        c_new = b + an / c
-        c_new = np.where(np.abs(c_new) < _TINY, _TINY, c_new)
-        d_new = 1.0 / d_new
-        delta = d_new * c_new
-        h = np.where(active, h * delta, h)
-        d = np.where(active, d_new, d)
-        c = np.where(active, c_new, c)
-        active = active & (np.abs(delta - 1.0) >= tol)
-        if not active.any():
-            break
-    else:
-        raise ConvergenceError(
-            "incomplete gamma continued fraction did not converge",
-            budget.max_cf_iterations,
-        )
-    log_prefix = -x + a * np.log(x) - log_gamma(a)
-    return np.exp(log_prefix) * h
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if not abs(delta - 1.0) >= tol:
+            return h
+    raise ConvergenceError(
+        "incomplete gamma continued fraction did not converge",
+        budget.max_cf_iterations,
+    )
 
 
-def _regularized_gamma_pair(a, x, budget):
-    """(P, Q) with P computed directly below the regime split and Q above it."""
+def _regularized_gamma(a, x, budget, upper):
+    """Q(a, x) if upper else P(a, x), each computed directly in its own
+    regime (Q above the split, P below) and as 1 minus the other elsewhere.
+    """
     a_arr = _as_array(a, "a", require="positive")
     x_arr = _as_array(x, "x", require="nonnegative")
     a_b, x_b = np.broadcast_arrays(a_arr, x_arr)
-    a_b = np.ascontiguousarray(a_b, dtype=float)
-    x_b = np.ascontiguousarray(x_b, dtype=float)
-
-    p = np.empty_like(x_b)
-    q = np.empty_like(x_b)
-    series = x_b < a_b + 1.0
-    if series.any():
-        ps = _lower_series(a_b[series], x_b[series], budget)
-        p[series] = ps
-        q[series] = 1.0 - ps
-    tail = ~series
-    if tail.any():
-        qt = _upper_continued_fraction(a_b[tail], x_b[tail], budget)
-        q[tail] = qt
-        p[tail] = 1.0 - qt
-    return p, q
+    pairs = zip(a_b.ravel().tolist(), x_b.ravel().tolist())
+    sums = np.reshape([_series_or_fraction(u, v, budget) for u, v in pairs], x_b.shape)
+    with np.errstate(divide="ignore"):  # log(0) at x = 0, whose sum is 0
+        log_prefix = -x_b + a_b * np.log(x_b) - _elementwise(math.lgamma, a_b)
+    part = sums * np.exp(log_prefix)
+    direct = (x_b >= a_b + 1.0) if upper else (x_b < a_b + 1.0)
+    return np.where(direct, part, 1.0 - part)
 
 
 def reg_lower_incomplete_gamma(a, x, _budget=None):
@@ -197,8 +187,7 @@ def reg_lower_incomplete_gamma(a, x, _budget=None):
     default.
     """
     budget = DEFAULT_BUDGET if _budget is None else _budget
-    p, _ = _regularized_gamma_pair(a, x, budget)
-    return _maybe_scalar(p, a, x)
+    return _maybe_scalar(_regularized_gamma(a, x, budget, upper=False), a, x)
 
 
 def reg_upper_incomplete_gamma(a, x, _budget=None):
@@ -208,8 +197,7 @@ def reg_upper_incomplete_gamma(a, x, _budget=None):
     small tail masses keep full relative structure instead of cancelling.
     """
     budget = DEFAULT_BUDGET if _budget is None else _budget
-    _, q = _regularized_gamma_pair(a, x, budget)
-    return _maybe_scalar(q, a, x)
+    return _maybe_scalar(_regularized_gamma(a, x, budget, upper=True), a, x)
 
 
 def erf_fn(x):

@@ -137,6 +137,16 @@ class TestFit:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["max_iterations = 0", "weighting = bogus"])
+    def test_config_range_error_exit_two(self, tmp_path, capsys, entry):
+        config = tmp_path / "fit.conf"
+        config.write_text(f"seed = 3\n{entry}\n")
+        code = main(["fit", str(BIMODAL), "--family", "gamma", "--config", str(config),
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "line 2" in err
+
     def test_missing_config_exit_two(self, tmp_path, capsys):
         config = tmp_path / "nope.conf"
         code = main(["fit", str(BIMODAL), "--family", "gamma", "--config", str(config),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special as sp_special
 
 from incomefit import models
 from incomefit.errors import ConvergenceError, DomainError, OverflowRangeError
@@ -156,6 +156,44 @@ class TestRegularizedGamma:
         with pytest.raises(ConvergenceError) as info:
             reg_lower_incomplete_gamma(150.0, 150.9, _budget=tight)
         assert info.value.iterations == 100
+        # in an array, one element that cannot converge fails the call
+        with pytest.raises(ConvergenceError) as info:
+            reg_lower_incomplete_gamma([2.0, 150.0], [1.0, 150.9], _budget=tight)
+        assert info.value.iterations == 100
+
+    def test_zero_fraction_start_is_a_convergence_error(self):
+        # for a >= 2**53, x + 1 - a is 0 at x = a: the fraction starts at 1/0
+        with pytest.raises(ConvergenceError):
+            reg_upper_incomplete_gamma(2.0**53, 2.0**53)
+
+    @pytest.mark.parametrize("fn", [reg_lower_incomplete_gamma, reg_upper_incomplete_gamma])
+    def test_array_equals_scalar_calls(self, fn):
+        rng = np.random.default_rng(37)
+        a = rng.uniform(0.05, 60.0, 300)
+        x = a * rng.uniform(0.0, 3.0, 300)
+        x[::25] = 0.0
+        got = fn(a, x)
+        assert got.shape == (300,)
+        assert got.tolist() == [fn(float(u), float(v)) for u, v in zip(a, x)]
+        # a column of shapes against a row of arguments broadcasts to a grid
+        col, row = a[:12].reshape(12, 1), x[:20].reshape(1, 20)
+        grid = fn(col, row)
+        assert grid.shape == (12, 20)
+        expected = [[fn(float(u), float(v)) for v in row[0]] for u in col[:, 0]]
+        assert grid.tolist() == expected
+        scalar = fn(np.array(2.5), np.array(1.7))
+        assert type(scalar) is float and scalar == fn(2.5, 1.7)
+
+    def test_far_tail_relative_precision(self):
+        # Q straight from the continued fraction keeps tiny tail masses to full
+        # relative precision
+        rng = np.random.default_rng(41)
+        a = rng.uniform(0.05, 80.0, 2000)
+        x = rng.uniform(a + 1.0, 650.0)
+        got = reg_upper_incomplete_gamma(a, x)
+        oracle = sp_special.gammaincc(a, x)
+        assert np.all(oracle > 0.0)
+        assert np.max(np.abs(got - oracle) / oracle) <= 1e-11
 
 
 class TestErf:
