@@ -31,9 +31,13 @@ __all__ = [
     "format_fit_result",
 ]
 
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 0.1
 _DAMPING_CAP = 1e15
 _DAMPING_FLOOR = 1e-15
 _JITTER_SIGMA = 0.3
+_FD_REL_STEP = 1e-6  # forward-difference step, relative to max(|theta_j|, 1)
 
 # which slots of the canonical parameter vector are strictly positive and
 # therefore fitted as logarithms (mu of a log-normal stays linear)
@@ -54,20 +58,15 @@ _NONZERO_SLOTS = {
 class FitConfig:
     """Optimizer settings; defaults are sensible for income-scale curves.
 
-    init_strategy is "moments", "valley-split", "auto" (moments for unimodal
-    families, valley-split for bimodal ones) or an explicit ModelSpec.
+    init_strategy is "auto" (see initialize) or an explicit ModelSpec.
     """
 
     target: str = PDF
     max_iterations: int = 500
     step_tol: float = 1e-10
     residual_tol: float = 1e-12
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
     weighting: str = "uniform"
     init_strategy: object = "auto"
-    finite_diff_rel_step: float = 1e-6
     multistart_count: int = 8
     seed: int = 0
 
@@ -78,18 +77,13 @@ class FitConfig:
             raise PreconditionError("max_iterations must be >= 1")
         if self.multistart_count < 1:
             raise PreconditionError("multistart_count must be >= 1")
-        for name in ("step_tol", "residual_tol", "damping_init", "damping_up",
-                     "damping_down", "finite_diff_rel_step"):
+        for name in ("step_tol", "residual_tol"):
             if getattr(self, name) <= 0.0:
                 raise PreconditionError(f"{name} must be > 0")
         if self.weighting not in ("uniform", "relative"):
             raise PreconditionError("weighting must be 'uniform' or 'relative'")
-        ok_str = self.init_strategy in ("auto", "moments", "valley-split")
-        if not ok_str and not isinstance(self.init_strategy, models.ModelSpec):
-            raise PreconditionError(
-                "init_strategy must be 'auto', 'moments', 'valley-split' "
-                "or a ModelSpec"
-            )
+        if not isinstance(self.init_strategy, models.ModelSpec):
+            _check_strategy_name(self.init_strategy)
 
 
 @dataclass(frozen=True)
@@ -190,13 +184,13 @@ def _lm_run(family, theta0, x, y, weights, target, config):
     theta = theta0.copy()
     r = sqrt_w * (y - f)
     ss = float(r @ r)
-    lam = config.damping_init
+    lam = _DAMPING_INIT
     converged = ss == 0.0
     iterations = 0
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        jac = _jacobian(family, theta, x, target, f, config.finite_diff_rel_step, sqrt_w)
+        jac = _jacobian(family, theta, x, target, f, _FD_REL_STEP, sqrt_w)
         if jac is None:
             break
         normal = jac.T @ jac
@@ -220,14 +214,14 @@ def _lm_run(family, theta0, x, y, weights, target, config):
                     if np.isfinite(ss_trial) and ss_trial <= ss:
                         accepted = True
                         break
-            lam *= config.damping_up
+            lam *= _DAMPING_UP
         if not accepted:
             break
 
         assert ss_trial <= ss, "accepted LM step increased the sum of squares"
         ss_prev = ss
         theta, f, r, ss = trial, f_trial, r_trial, ss_trial
-        lam = max(lam * config.damping_down, _DAMPING_FLOOR)
+        lam = max(lam * _DAMPING_DOWN, _DAMPING_FLOOR)
 
         step_norm = float(np.linalg.norm(delta))
         if step_norm <= config.step_tol * (float(np.linalg.norm(theta)) + config.step_tol):
@@ -361,15 +355,21 @@ def _valley_split_init(x, y, family):
     return np.concatenate(halves)
 
 
+def _check_strategy_name(strategy):
+    if strategy != "auto":
+        raise PreconditionError("init_strategy must be 'auto' or a ModelSpec")
+
+
 def initialize(curve, family, strategy="auto"):
     """Starting ModelSpec for a fit; always returns a valid spec.
 
-    moments: match mean/variance (gamma) or log-mean/log-variance
-    (log-normal), amplitude from the curve's mass. valley-split: locate the
-    deepest smoothed minimum between the two highest peaks, fit each side
-    unimodally, concatenate; falls back to a median split when no interior
-    valley exists. Every string strategy resolves by family alone:
-    valley-split for bimodal families, moments for unimodal ones.
+    strategy is "auto" or an explicit ModelSpec of the fitted family, which
+    is returned as is. "auto" picks by family. Unimodal families match
+    moments: mean/variance (gamma) or log-mean/log-variance (log-normal),
+    amplitude from the curve's mass. Bimodal families split at the valley:
+    locate the deepest smoothed minimum between the two highest peaks, fit
+    each side unimodally, concatenate; falls back to a median split when no
+    interior valley exists.
     """
     if isinstance(strategy, models.ModelSpec):
         if strategy.family != family:
@@ -377,6 +377,7 @@ def initialize(curve, family, strategy="auto"):
                 f"explicit init is for family {strategy.family!r}, fitting {family!r}"
             )
         return strategy
+    _check_strategy_name(strategy)
     x, y = _density_points(curve)
     if models.is_bimodal(family):
         vec = _valley_split_init(x, y, family)

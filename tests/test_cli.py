@@ -137,7 +137,11 @@ class TestFit:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["max_iterations = 0", "weighting = bogus"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["max_iterations = 0", "weighting = bogus", "init_strategy = moments",
+         "damping_up = 5"],
+    )
     def test_config_range_error_exit_two(self, tmp_path, capsys, entry):
         config = tmp_path / "fit.conf"
         config.write_text(f"seed = 3\n{entry}\n")

@@ -165,14 +165,14 @@ class TestInitialize:
     def test_moments_within_basin(self):
         truth = TRUTHS["gamma"]
         curve = exact_curve(truth, "pdf")
-        init = initialize(curve, "gamma", "moments")
+        init = initialize(curve, "gamma")
         assert init.params.shape == pytest.approx(truth.params.shape, rel=0.25)
         assert init.params.scale == pytest.approx(truth.params.scale, rel=0.25)
 
     def test_moments_lognormal(self):
         truth = TRUTHS["lognormal"]
         curve = exact_curve(truth, "pdf")
-        init = initialize(curve, "lognormal", "moments")
+        init = initialize(curve, "lognormal")
         assert init.params.mu == pytest.approx(truth.params.mu, rel=0.25)
         assert init.params.sigma == pytest.approx(truth.params.sigma, rel=0.25)
 
@@ -189,7 +189,7 @@ class TestInitialize:
     def test_flat_curve_falls_back_without_error(self):
         x = np.geomspace(100.0, 10000.0, 30)
         curve = EmpiricalCurve(x, np.full(30, 0.25), "pdf")
-        init = initialize(curve, "bilognormal", "valley-split")
+        init = initialize(curve, "bilognormal")
         assert init.family == "bilognormal"
 
     def test_explicit_passthrough(self):
@@ -198,6 +198,13 @@ class TestInitialize:
         assert initialize(curve, "bigamma", spec) is spec
         with pytest.raises(PreconditionError):
             initialize(curve, "bilognormal", spec)
+
+    @pytest.mark.parametrize("strategy", ["moments", "valley-split"])
+    def test_named_strategies_rejected(self, strategy):
+        # "auto" is the only named strategy; it picks by family
+        curve = exact_curve(TRUTHS["bigamma"], "pdf")
+        with pytest.raises(PreconditionError):
+            initialize(curve, "bigamma", strategy)
 
     def test_ccdf_curves_supported(self):
         truth = TRUTHS["bilognormal"]
@@ -400,6 +407,8 @@ class TestConfig:
             FitConfig(weighting="quadratic")
         with pytest.raises(PreconditionError):
             FitConfig(init_strategy="guess")
+        with pytest.raises(PreconditionError):
+            FitConfig(init_strategy="moments")
 
     def test_relative_weighting_fit(self):
         truth = TRUTHS["gamma"]

@@ -9,9 +9,7 @@ from scipy import integrate, special as sp_special
 from incomefit import models
 from incomefit.errors import ConvergenceError, DomainError, OverflowRangeError
 from incomefit.special import (
-    DEFAULT_BUDGET,
     GAMMA_OVERFLOW_THRESHOLD,
-    PrecisionBudget,
     erf_fn,
     gamma_fn,
     log_gamma,
@@ -47,9 +45,11 @@ class TestGammaFn:
     def test_integer_factorials(self):
         assert gamma_fn(1.0) == pytest.approx(1.0, abs=1e-10)
         assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-10)
+        assert gamma_fn(5.0) == 24.0
 
     def test_half(self):
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+        assert gamma_fn(0.5) == math.sqrt(math.pi)
 
     def test_half_squared_is_pi(self):
         assert gamma_fn(0.5) ** 2 == pytest.approx(math.pi, rel=1e-10)
@@ -152,14 +152,26 @@ class TestRegularizedGamma:
             reg_lower_incomplete_gamma(2.0, -0.5)
 
     def test_budget_exhaustion_carries_iterations(self):
-        tight = PrecisionBudget(abs_tol=1e-12, max_series_terms=100, max_cf_iterations=100)
-        with pytest.raises(ConvergenceError) as info:
-            reg_lower_incomplete_gamma(150.0, 150.9, _budget=tight)
-        assert info.value.iterations == 100
-        # in an array, one element that cannot converge fails the call
-        with pytest.raises(ConvergenceError) as info:
-            reg_lower_incomplete_gamma([2.0, 150.0], [1.0, 150.9], _budget=tight)
-        assert info.value.iterations == 100
+        cases = [
+            # the series just below the regime split, at a very large shape
+            (reg_lower_incomplete_gamma, 1e5, 1e5 + 0.9),
+            # the continued fraction just above it
+            (reg_upper_incomplete_gamma, 1e6, 1e6 + 1.0),
+            # in an array, one element that cannot converge fails the call
+            (reg_lower_incomplete_gamma, [2.0, 1e5], [1.0, 1e5 + 0.9]),
+        ]
+        for fn, a, x in cases:
+            with pytest.raises(ConvergenceError) as info:
+                fn(a, x)
+            assert info.value.iterations == 512
+
+    def test_tiny_shape_stays_in_unit_interval(self):
+        # the series times its prefactor rounds above 1 at a = x = 1e-300
+        assert reg_lower_incomplete_gamma(1e-300, 1e-300) <= 1.0
+        assert reg_upper_incomplete_gamma(1e-300, 1e-300) >= 0.0
+        model = models.gamma_model(1.0, 1e-300, 1.0)
+        assert models.ccdf(model, 1e-300) >= 0.0
+        assert models.cdf(model, 1e-300) <= 1.0
 
     def test_zero_fraction_start_is_a_convergence_error(self):
         # for a >= 2**53, x + 1 - a is 0 at x = a: the fraction starts at 1/0
@@ -222,7 +234,7 @@ class TestErf:
 class TestStdNormalCdf:
     def test_center_and_limit(self):
         assert std_normal_cdf(0.0) == 0.5
-        assert std_normal_cdf(40.0) == pytest.approx(1.0, abs=DEFAULT_BUDGET.abs_tol)
+        assert std_normal_cdf(40.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_value(self):
         assert std_normal_cdf(1.96) == pytest.approx(PHI_1p96, abs=1e-10)
@@ -241,23 +253,3 @@ class TestStdNormalCdf:
             )
             assert std_normal_cdf(float(z)) == pytest.approx(oracle, abs=1e-10)
 
-
-class TestPrecisionBudget:
-    def test_defaults_valid(self):
-        assert DEFAULT_BUDGET.abs_tol == 1e-12
-        assert DEFAULT_BUDGET.max_series_terms >= 100
-        assert DEFAULT_BUDGET.max_cf_iterations >= 100
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"abs_tol": 1e-7},
-            {"abs_tol": -1e-12},
-            {"max_series_terms": 99},
-            {"max_cf_iterations": 50},
-        ],
-    )
-    def test_invalid_budgets_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            PrecisionBudget(**kwargs)
