@@ -1,8 +1,10 @@
 """Command-line front end: fit, table, subtract, ccdf.
 
-Every output file starts with manifest comment lines (command, inputs,
-config, tool version, UTC timestamp) and is written atomically. Exit codes:
-0 success, 1 usage, 2 input error, 3 non-convergence, 4 fit failure.
+Every output file starts with the comment lines that _manifest returns (tool
+version, command, inputs, config, and the UTC timestamp of that call) and is
+written atomically. Exit codes: 0 success, 1 usage, 2 input error,
+3 non-convergence, 4 fit failure. Commands let errors propagate; main alone
+turns them into a message on stderr and exit code 1, 2 or 4.
 """
 
 import argparse
@@ -10,7 +12,7 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,31 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block written at the top of every output file."""
-
-    command: str
-    input_paths: tuple
-    config_items: tuple
-    tool_version: str = __version__
-    timestamp: str = ""
-
-    def lines(self):
-        out = [
-            f"incomefit {self.tool_version}",
-            f"command: {self.command}",
-        ]
-        for path in self.input_paths:
-            out.append(f"input: {path}")
-        for key, value in self.config_items:
-            out.append(f"config {key}: {value}")
-        out.append(f"timestamp: {self.timestamp}")
-        return out
-
-
-def _now():
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _manifest(command, input_paths, config_items):
+    """Provenance lines written at the top of every output file."""
+    lines = [f"incomefit {__version__}", f"command: {command}"]
+    lines += [f"input: {path}" for path in input_paths]
+    lines += [f"config {key}: {value}" for key, value in config_items]
+    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    lines.append(f"timestamp: {timestamp}")
+    return lines
 
 
 def _write_atomic(path, text):
@@ -96,15 +81,7 @@ def _write_atomic(path, text):
 
 
 def _config_items(config):
-    items = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, models.ModelSpec):
-            value = "explicit:" + ",".join(
-                repr(float(v)) for v in models.param_pack(value)
-            )
-        items.append((f.name, str(value)))
-    return tuple(items)
+    return tuple((f.name, str(getattr(config, f.name))) for f in fields(config))
 
 
 def _parse_config_file(path):
@@ -164,7 +141,7 @@ def _curve_for(hist, target, normalize, log_density):
 
 
 def _format_curve(x, y, manifest, kind):
-    lines = [f"# {line}" for line in manifest.lines()]
+    lines = [f"# {line}" for line in manifest]
     lines.append(f"# kind: {kind}")
     lines.append("x,y")
     for xi, yi in zip(x, y):
@@ -181,22 +158,12 @@ def cmd_fit(args):
     hist = _load(args.input)
     config = _build_config(args)
     curve = _curve_for(hist, config.target, args.normalize, args.log_density)
-    try:
-        result = fit(curve, args.family, config)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FitFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT_FAILURE
+    result = fit(curve, args.family, config)
 
-    manifest = RunManifest(
-        command="fit",
-        input_paths=(str(args.input),),
-        config_items=_config_items(config) + (("family", args.family),),
-        timestamp=_now(),
+    manifest = _manifest(
+        "fit", (str(args.input),), _config_items(config) + (("family", args.family),)
     )
-    doc = "\n".join(f"# {line}" for line in manifest.lines())
+    doc = "\n".join(f"# {line}" for line in manifest)
     doc += "\n" + format_fit_result(result)
     _write_atomic(args.out, doc)
 
@@ -265,17 +232,16 @@ def cmd_table(args):
         rows.append((year, cells))
 
     headers = ["year"] + [f"{f}:{t}" for f, t in columns]
-    manifest = RunManifest(
-        command="table",
-        input_paths=tuple(path for _, path, _ in inputs),
-        config_items=_config_items(base_config)
+    manifest = _manifest(
+        "table",
+        [path for _, path, _ in inputs],
+        _config_items(base_config)
         + (("families", ",".join(families)), ("targets", ",".join(targets))),
-        timestamp=_now(),
     )
 
     widths = [max(len(headers[0]), *(len(str(y)) for y, _ in rows))]
     widths += [max(len(h), 8) for h in headers[1:]]
-    text_lines = [f"# {line}" for line in manifest.lines()]
+    text_lines = [f"# {line}" for line in manifest]
     text_lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     csv_lines = [",".join(headers)]
     for year, cells in rows:
@@ -286,7 +252,7 @@ def cmd_table(args):
     _write_atomic(args.out, "\n".join(text_lines) + "\n")
     csv_path = Path(args.out).with_suffix(Path(args.out).suffix + ".csv")
     _write_atomic(csv_path, "\n".join(csv_lines) + "\n")
-    print("\n".join(text_lines[len(manifest.lines()):]))
+    print("\n".join(text_lines[len(manifest):]))
     return EXIT_OK
 
 
@@ -303,17 +269,13 @@ def cmd_subtract(args):
     residual = subtract(world, parts, renormalize=args.renormalize)
     for part in parts:
         print(f"removed mass {part.total_mass()!r} ({part.label or 'unlabelled'})")
-    manifest = RunManifest(
-        command="subtract",
-        input_paths=(str(args.world),) + tuple(str(p) for p in args.parts),
-        config_items=(
-            ("renormalize", str(args.renormalize)),
-            ("rebin", str(args.rebin)),
-        ),
-        timestamp=_now(),
+    manifest = _manifest(
+        "subtract",
+        [str(args.world)] + [str(p) for p in args.parts],
+        (("renormalize", str(args.renormalize)), ("rebin", str(args.rebin))),
     )
     buf = io.StringIO()
-    save_histogram(residual, buf, extra_comments=manifest.lines())
+    save_histogram(residual, buf, extra_comments=manifest)
     _write_atomic(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -321,11 +283,8 @@ def cmd_subtract(args):
 def cmd_ccdf(args):
     hist = _load(args.input)
     curve = to_ccdf_curve(hist, normalize=args.normalize)
-    manifest = RunManifest(
-        command="ccdf",
-        input_paths=(str(args.input),),
-        config_items=(("normalize", str(args.normalize)),),
-        timestamp=_now(),
+    manifest = _manifest(
+        "ccdf", (str(args.input),), (("normalize", str(args.normalize)),)
     )
     _write_atomic(args.out, _format_curve(curve.x, curve.y, manifest, CCDF))
     return EXIT_OK

@@ -8,7 +8,7 @@ coefficient of determination on the curve ordinates.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,7 @@ _NONZERO_SLOTS = {
 class FitConfig:
     """Optimizer settings; defaults are sensible for income-scale curves.
 
-    init_strategy is "auto" (see initialize) or an explicit ModelSpec.
+    The starting point is not a setting: fit takes it as its init argument.
     """
 
     target: str = PDF
@@ -66,7 +66,6 @@ class FitConfig:
     step_tol: float = 1e-10
     residual_tol: float = 1e-12
     weighting: str = "uniform"
-    init_strategy: object = "auto"
     multistart_count: int = 8
     seed: int = 0
 
@@ -82,8 +81,6 @@ class FitConfig:
                 raise PreconditionError(f"{name} must be > 0")
         if self.weighting not in ("uniform", "relative"):
             raise PreconditionError("weighting must be 'uniform' or 'relative'")
-        if not isinstance(self.init_strategy, models.ModelSpec):
-            _check_strategy_name(self.init_strategy)
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ class FitResult:
     iterations: int
     converged: bool
     init_used: models.ModelSpec
-    init_strategy: str
 
 
 def r_squared(observed, predicted, weights=None):
@@ -355,29 +351,15 @@ def _valley_split_init(x, y, family):
     return np.concatenate(halves)
 
 
-def _check_strategy_name(strategy):
-    if strategy != "auto":
-        raise PreconditionError("init_strategy must be 'auto' or a ModelSpec")
-
-
-def initialize(curve, family, strategy="auto"):
+def initialize(curve, family):
     """Starting ModelSpec for a fit; always returns a valid spec.
 
-    strategy is "auto" or an explicit ModelSpec of the fitted family, which
-    is returned as is. "auto" picks by family. Unimodal families match
-    moments: mean/variance (gamma) or log-mean/log-variance (log-normal),
-    amplitude from the curve's mass. Bimodal families split at the valley:
-    locate the deepest smoothed minimum between the two highest peaks, fit
-    each side unimodally, concatenate; falls back to a median split when no
-    interior valley exists.
+    Picks by family. Unimodal families match moments: mean/variance (gamma)
+    or log-mean/log-variance (log-normal), amplitude from the curve's mass.
+    Bimodal families split at the valley: locate the deepest smoothed
+    minimum between the two highest peaks, fit each side unimodally,
+    concatenate; falls back to a median split when no interior valley exists.
     """
-    if isinstance(strategy, models.ModelSpec):
-        if strategy.family != family:
-            raise PreconditionError(
-                f"explicit init is for family {strategy.family!r}, fitting {family!r}"
-            )
-        return strategy
-    _check_strategy_name(strategy)
     x, y = _density_points(curve)
     if models.is_bimodal(family):
         vec = _valley_split_init(x, y, family)
@@ -390,12 +372,12 @@ def initialize(curve, family, strategy="auto"):
 # the public fit entry points
 
 
-def _strategy_name(strategy):
-    return "explicit" if isinstance(strategy, models.ModelSpec) else strategy
+def fit(curve, family, config=None, init=None):
+    """Fit one family to an empirical curve; best of a jittered multistart.
 
-
-def fit(curve, family, config=None):
-    """Fit one family to an empirical curve; best of a jittered multistart."""
+    init is the starting ModelSpec, which must be of the fitted family;
+    None starts from initialize(curve, family).
+    """
     config = config or FitConfig()
     if family not in models.FAMILIES:
         raise PreconditionError(f"unknown family {family!r}")
@@ -410,7 +392,12 @@ def fit(curve, family, config=None):
             f"curve has {len(curve)}"
         )
     weights = _curve_weights(curve, config.weighting)
-    init = initialize(curve, family, config.init_strategy)
+    if init is None:
+        init = initialize(curve, family)
+    elif init.family != family:
+        raise PreconditionError(
+            f"explicit init is for family {init.family!r}, fitting {family!r}"
+        )
     theta0 = _to_unconstrained(family, models.param_pack(init))
 
     rng = np.random.default_rng(config.seed)
@@ -446,7 +433,6 @@ def fit(curve, family, config=None):
         iterations=iterations,
         converged=converged,
         init_used=init,
-        init_strategy=_strategy_name(config.init_strategy),
     )
 
 
@@ -473,10 +459,11 @@ def _embedding(unimodal_model, second_share):
 def refit_nested(curve, unimodal_result, config=None):
     """Upgrade a converged unimodal fit to its two-component family.
 
-    Seeded at the unimodal optimum plus a small second bump shifted by +1 in
-    log income. The returned ss_res never exceeds the unimodal one (beyond
-    1e-12): if the optimizer fails to improve, the degenerate embedding with
-    a zero-amplitude second component is returned instead.
+    Runs fit under the same config with init set to the unimodal optimum
+    plus a small second bump shifted by +1 in log income. The returned
+    ss_res never exceeds the unimodal one (beyond 1e-12): if the optimizer
+    fails to improve, the degenerate embedding with a zero-amplitude second
+    component is returned instead.
     """
     config = config or FitConfig()
     uni_family = unimodal_result.model.family
@@ -490,7 +477,7 @@ def refit_nested(curve, unimodal_result, config=None):
     uni_ss = float(np.sum(weights * (curve.y - uni_pred) ** 2))
 
     seed_spec = _embedding(unimodal_result.model, 0.05)
-    attempt = fit(curve, family, replace(config, init_strategy=seed_spec))
+    attempt = fit(curve, family, config, init=seed_spec)
     if attempt.ss_res <= uni_ss + 1e-12:
         return attempt
 
@@ -505,7 +492,6 @@ def refit_nested(curve, unimodal_result, config=None):
         iterations=attempt.iterations,
         converged=unimodal_result.converged,
         init_used=seed_spec,
-        init_strategy="explicit",
     )
 
 
@@ -517,5 +503,4 @@ def format_fit_result(result):
     lines.append(f"ss_tot = {result.ss_tot!r}")
     lines.append(f"iterations = {result.iterations}")
     lines.append(f"converged = {'true' if result.converged else 'false'}")
-    lines.append(f"init_strategy = {result.init_strategy}")
     return "\n".join(lines) + "\n"

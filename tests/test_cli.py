@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, valley_ratio
 from incomefit.cli import main
 from incomefit.empirical import load_histogram, save_histogram, to_pdf_curve
+from incomefit.errors import FitFailureError
+from incomefit.fitter import FitConfig
 
 BIMODAL = FIXTURES / "synthetic_bimodal.csv"
 WORLD3 = FIXTURES / "synthetic_world3.csv"
@@ -140,7 +145,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "entry",
         ["max_iterations = 0", "weighting = bogus", "init_strategy = moments",
-         "damping_up = 5"],
+         "init_strategy = auto", "damping_up = 5"],
     )
     def test_config_range_error_exit_two(self, tmp_path, capsys, entry):
         config = tmp_path / "fit.conf"
@@ -150,6 +155,23 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert str(config) in err and "line 2" in err
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (FIXTURES.parent / "README.md").read_text()
+        paragraph = readme[readme.index("`--config` points to"):]
+        key_list = paragraph[paragraph.index("("):paragraph.index(")")]
+        assert re.findall(r"`(\w+)`", key_list) == [f.name for f in fields(FitConfig)]
+
+    def test_fit_failure_exit_four(self, tmp_path, capsys, monkeypatch):
+        def diverge(curve, family, config=None, init=None):
+            raise FitFailureError("all 8 starts diverged")
+
+        monkeypatch.setattr("incomefit.cli.fit", diverge)
+        code = main(["fit", str(BIMODAL), "--family", "gamma",
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("fit failure:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         config = tmp_path / "nope.conf"

@@ -148,8 +148,8 @@ class TestPreconditions:
         x = np.geomspace(3000.0, 8000.0, 30)
         curve = EmpiricalCurve(x, np.linspace(1.0, 0.2, 30), "ccdf")
         with pytest.raises(FitFailureError):
-            fit(curve, "gamma", FitConfig(target="ccdf", init_strategy=init,
-                                          multistart_count=3))
+            fit(curve, "gamma", FitConfig(target="ccdf", multistart_count=3),
+                init=init)
 
     def test_overflowing_sum_of_squares_raises(self):
         # an amplitude of 1e200 overflows the sum of squares: the start has
@@ -157,8 +157,8 @@ class TestPreconditions:
         curve = to_ccdf_curve(load_histogram(FIXTURES / "synthetic_bimodal.csv"))
         init = models.gamma_model(1e200, 2.0, 1000.0)
         with pytest.raises(FitFailureError):
-            fit(curve, "gamma", FitConfig(target="ccdf", init_strategy=init,
-                                          multistart_count=1))
+            fit(curve, "gamma", FitConfig(target="ccdf", multistart_count=1),
+                init=init)
 
 
 class TestInitialize:
@@ -195,16 +195,10 @@ class TestInitialize:
     def test_explicit_passthrough(self):
         spec = TRUTHS["bigamma"]
         curve = exact_curve(spec, "pdf")
-        assert initialize(curve, "bigamma", spec) is spec
+        res = fit(curve, "bigamma", FitConfig(multistart_count=1), init=spec)
+        assert res.init_used is spec
         with pytest.raises(PreconditionError):
-            initialize(curve, "bilognormal", spec)
-
-    @pytest.mark.parametrize("strategy", ["moments", "valley-split"])
-    def test_named_strategies_rejected(self, strategy):
-        # "auto" is the only named strategy; it picks by family
-        curve = exact_curve(TRUTHS["bigamma"], "pdf")
-        with pytest.raises(PreconditionError):
-            initialize(curve, "bigamma", strategy)
+            fit(curve, "bilognormal", init=spec)
 
     def test_ccdf_curves_supported(self):
         truth = TRUTHS["bilognormal"]
@@ -405,10 +399,8 @@ class TestConfig:
             FitConfig(step_tol=-1.0)
         with pytest.raises(PreconditionError):
             FitConfig(weighting="quadratic")
-        with pytest.raises(PreconditionError):
-            FitConfig(init_strategy="guess")
-        with pytest.raises(PreconditionError):
-            FitConfig(init_strategy="moments")
+        with pytest.raises(TypeError):
+            FitConfig(init_strategy="auto")
 
     def test_relative_weighting_fit(self):
         truth = TRUTHS["gamma"]
@@ -424,5 +416,5 @@ class TestFormat:
         res = fit(curve, "gamma")
         text = format_fit_result(res)
         for key in ("family", "A", "n", "m", "r_squared", "ss_res",
-                    "iterations", "converged", "init_strategy"):
+                    "iterations", "converged"):
             assert any(line.startswith(key + " ") for line in text.splitlines())
