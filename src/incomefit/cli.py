@@ -11,7 +11,6 @@ import argparse
 import io
 import os
 import sys
-import tempfile
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,7 +68,10 @@ def _manifest(command, input_paths, config_items):
 def _write_atomic(path, text):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # a fresh name opened with O_EXCL and mode 0o666 gets the umask's
+    # permissions, as a plain open(path, "w") would; mkstemp forces 0o600
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -115,12 +117,13 @@ def _parse_config_file(path):
 
 def _build_config(args):
     kwargs = {}
-    if getattr(args, "config", None):
+    if args.config:
         kwargs.update(_parse_config_file(args.config))
-    for key in ("target", "weighting", "seed", "max_iterations", "multistart_count"):
-        value = getattr(args, key, None)
+    # add_fit_flags gives fit and table one flag per FitConfig field
+    for f in fields(FitConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            kwargs[key] = value
+            kwargs[f.name] = value
     try:
         return FitConfig(**kwargs)
     except (TypeError, PreconditionError) as exc:
@@ -301,12 +304,12 @@ def build_parser():
 
     def add_fit_flags(p):
         p.add_argument("--target", choices=(PDF, CCDF), default=None)
-        p.add_argument("--normalize", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--weighting", choices=("uniform", "relative"), default=None)
         p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+        p.add_argument("--weighting", choices=("uniform", "relative"), default=None)
         p.add_argument("--multistart", dest="multistart_count", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--normalize", action="store_true")
+        p.add_argument("--config", default=None, help="key = value config file")
 
     p_fit = sub.add_parser("fit", help="fit one family to one histogram")
     p_fit.add_argument("input")

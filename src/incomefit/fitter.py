@@ -38,6 +38,8 @@ _DAMPING_CAP = 1e15
 _DAMPING_FLOOR = 1e-15
 _JITTER_SIGMA = 0.3
 _FD_REL_STEP = 1e-6  # forward-difference step, relative to max(|theta_j|, 1)
+_STEP_TOL = 1e-10  # converged when |step| <= tol * (|theta| + tol)
+_RESIDUAL_TOL = 1e-12  # converged when a step cuts SS by at most tol * SS
 
 # which slots of the canonical parameter vector are strictly positive and
 # therefore fitted as logarithms (mu of a log-normal stays linear)
@@ -56,15 +58,10 @@ _NONZERO_SLOTS = {
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; defaults are sensible for income-scale curves.
-
-    The starting point is not a setting: fit takes it as its init argument.
-    """
+    """Optimizer settings; defaults are sensible for income-scale curves."""
 
     target: str = PDF
     max_iterations: int = 500
-    step_tol: float = 1e-10
-    residual_tol: float = 1e-12
     weighting: str = "uniform"
     multistart_count: int = 8
     seed: int = 0
@@ -76,9 +73,6 @@ class FitConfig:
             raise PreconditionError("max_iterations must be >= 1")
         if self.multistart_count < 1:
             raise PreconditionError("multistart_count must be >= 1")
-        for name in ("step_tol", "residual_tol"):
-            if getattr(self, name) <= 0.0:
-                raise PreconditionError(f"{name} must be > 0")
         if self.weighting not in ("uniform", "relative"):
             raise PreconditionError("weighting must be 'uniform' or 'relative'")
 
@@ -152,11 +146,12 @@ def _predict(family, theta, x, target):
     return f
 
 
-def _jacobian(family, theta, x, target, f0, rel_step, sqrt_w):
+def _jacobian(family, theta, x, target, f0, sqrt_w):
+    """Weighted forward-difference Jacobian at theta, or None if a step fails."""
     n_par = theta.size
     jac = np.empty((x.size, n_par))
     for j in range(n_par):
-        h = rel_step * max(abs(theta[j]), 1.0)
+        h = _FD_REL_STEP * max(abs(theta[j]), 1.0)
         stepped = theta.copy()
         stepped[j] += h
         fj = _predict(family, stepped, x, target)
@@ -171,8 +166,8 @@ def _jacobian(family, theta, x, target, f0, rel_step, sqrt_w):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lm_run(family, theta0, x, y, weights, target, config):
-    """One damped Gauss-Newton descent. Returns None for a diverged start."""
+def _lm_run(family, theta0, x, y, weights, target, max_iterations):
+    """Up to max_iterations damped Gauss-Newton steps; None for a diverged start."""
     sqrt_w = np.sqrt(weights)
     f = _predict(family, theta0, x, target)
     if f is None:
@@ -184,9 +179,9 @@ def _lm_run(family, theta0, x, y, weights, target, config):
     converged = ss == 0.0
     iterations = 0
 
-    while not converged and iterations < config.max_iterations:
+    while not converged and iterations < max_iterations:
         iterations += 1
-        jac = _jacobian(family, theta, x, target, f, _FD_REL_STEP, sqrt_w)
+        jac = _jacobian(family, theta, x, target, f, sqrt_w)
         if jac is None:
             break
         normal = jac.T @ jac
@@ -220,9 +215,9 @@ def _lm_run(family, theta0, x, y, weights, target, config):
         lam = max(lam * _DAMPING_DOWN, _DAMPING_FLOOR)
 
         step_norm = float(np.linalg.norm(delta))
-        if step_norm <= config.step_tol * (float(np.linalg.norm(theta)) + config.step_tol):
+        if step_norm <= _STEP_TOL * (float(np.linalg.norm(theta)) + _STEP_TOL):
             converged = True
-        elif ss_prev - ss <= config.residual_tol * ss_prev:
+        elif ss_prev - ss <= _RESIDUAL_TOL * ss_prev:
             converged = True
         elif ss == 0.0:
             converged = True
@@ -322,8 +317,7 @@ def _median_split(x, y):
 def _side_refine(x, y, subfamily, start):
     """Short single-start LM polish of a side's moment estimate vector."""
     theta0 = _to_unconstrained(subfamily, start)
-    cfg = FitConfig(target=PDF, max_iterations=60, multistart_count=1)
-    out = _lm_run(subfamily, theta0, x, y, np.ones_like(y), PDF, cfg)
+    out = _lm_run(subfamily, theta0, x, y, np.ones_like(y), PDF, 60)
     if out is None:
         return start
     return _from_unconstrained(subfamily, out[0])
@@ -407,7 +401,9 @@ def fit(curve, family, config=None, init=None):
 
     runs = []
     for theta_start in starts:
-        out = _lm_run(family, theta_start, curve.x, curve.y, weights, config.target, config)
+        out = _lm_run(
+            family, theta_start, curve.x, curve.y, weights, config.target, config.max_iterations
+        )
         if out is not None:
             runs.append(out)
     if not runs:

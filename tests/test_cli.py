@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import os
 import re
+import stat
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, valley_ratio
-from incomefit.cli import main
+from incomefit.cli import build_parser, main
 from incomefit.empirical import load_histogram, save_histogram, to_pdf_curve
 from incomefit.errors import FitFailureError
 from incomefit.fitter import FitConfig
@@ -133,7 +135,7 @@ class TestFit:
         assert "# config target: pdf" in text
         assert "# config seed: 4" in text
 
-    @pytest.mark.parametrize("entry", ["seed = abc", "step_tol = 1e-9x"])
+    @pytest.mark.parametrize("entry", ["seed = abc", "multistart_count = 2.5"])
     def test_config_value_error_exit_two(self, tmp_path, capsys, entry):
         config = tmp_path / "fit.conf"
         config.write_text(f"# fit settings\n{entry}\n")
@@ -145,7 +147,8 @@ class TestFit:
     @pytest.mark.parametrize(
         "entry",
         ["max_iterations = 0", "weighting = bogus", "init_strategy = moments",
-         "init_strategy = auto", "damping_up = 5"],
+         "init_strategy = auto", "damping_up = 5", "step_tol = 1e-10",
+         "residual_tol = 1e-12"],
     )
     def test_config_range_error_exit_two(self, tmp_path, capsys, entry):
         config = tmp_path / "fit.conf"
@@ -330,6 +333,18 @@ class TestCcdf:
         ]
         assert all(b <= a for a, b in zip(ys, ys[1:]))
 
+    def test_output_mode_follows_umask(self, tmp_path):
+        # as a plain open(path, "w") would give, not mkstemp's 0o600
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            out = tmp_path / f"ccdf_{umask:o}.csv"
+            old = os.umask(umask)
+            try:
+                assert main(["ccdf", str(WORLD3), "--out", str(out)]) == 0
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ccdf_22.csv", "ccdf_77.csv"]
+
 
 class TestUsage:
     def test_unknown_family_exit_one(self, tmp_path):
@@ -338,3 +353,12 @@ class TestUsage:
 
     def test_unknown_subcommand_exit_one(self):
         assert main(["transmogrify"]) == 1
+
+    def test_fit_flags_match_fit_config(self):
+        # _build_config reads one flag per FitConfig field, in field order
+        not_config = {"command", "input", "family", "log_density", "out", "families",
+                      "targets", "normalize", "config"}
+        for argv in (["fit", str(BIMODAL), "--family", "gamma"], ["table"]):
+            args = build_parser().parse_args(argv)
+            dests = [dest for dest in vars(args) if dest not in not_config]
+            assert dests == [f.name for f in fields(FitConfig)]

@@ -334,7 +334,7 @@ class TestInvariants:
             point = theta + jitter * rng.standard_normal(theta.size)
             f0 = _predict(family, point, x, target)
             assert f0 is not None
-            fwd = _jacobian(family, point, x, target, f0, 1e-6, sqrt_w)
+            fwd = _jacobian(family, point, x, target, f0, sqrt_w)
             central = np.empty_like(fwd)
             for j in range(point.size):
                 h = 1e-6 * max(abs(point[j]), 1.0)
@@ -395,8 +395,10 @@ class TestConfig:
             FitConfig(max_iterations=0)
         with pytest.raises(PreconditionError):
             FitConfig(multistart_count=0)
-        with pytest.raises(PreconditionError):
-            FitConfig(step_tol=-1.0)
+        with pytest.raises(TypeError):
+            FitConfig(step_tol=1e-10)
+        with pytest.raises(TypeError):
+            FitConfig(residual_tol=1e-12)
         with pytest.raises(PreconditionError):
             FitConfig(weighting="quadratic")
         with pytest.raises(TypeError):
