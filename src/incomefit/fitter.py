@@ -37,12 +37,12 @@ _DAMPING_DOWN = 0.1
 _DAMPING_CAP = 1e15
 _DAMPING_FLOOR = 1e-15
 _JITTER_SIGMA = 0.3
-_FD_REL_STEP = 1e-6  # forward-difference step, relative to max(|theta_j|, 1)
 _STEP_TOL = 1e-10  # converged when |step| <= tol * (|theta| + tol)
 _RESIDUAL_TOL = 1e-12  # converged when a step cuts SS by at most tol * SS
 
 # which slots of the canonical parameter vector are strictly positive and
-# therefore fitted as logarithms (mu of a log-normal stays linear)
+# therefore fitted as logarithms (mu of a log-normal stays linear); these are
+# the coordinates models.evaluate_columns differentiates in
 _POSITIVE_SLOTS = {
     "gamma": np.array((True, True, True)),
     "lognormal": np.array((True, False, True)),
@@ -146,19 +146,23 @@ def _predict(family, theta, x, target):
     return f
 
 
-def _jacobian(family, theta, x, target, f0, sqrt_w):
-    """Weighted forward-difference Jacobian at theta, or None if a step fails."""
-    n_par = theta.size
-    jac = np.empty((x.size, n_par))
-    for j in range(n_par):
-        h = _FD_REL_STEP * max(abs(theta[j]), 1.0)
-        stepped = theta.copy()
-        stepped[j] += h
-        fj = _predict(family, stepped, x, target)
-        if fj is None:
+def _jacobian(family, theta, x, target, sqrt_w):
+    """Weighted Jacobian of the ordinates at an accepted theta, or None if a
+    kernel fails or a column is not finite.
+
+    The columns come from models.evaluate_columns, in theta's coordinates:
+    closed form, except one forward difference per gamma shape.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            _, cols = models.evaluate_columns(
+                family, _from_unconstrained(family, theta), x, target
+            )
+        except IncomeFitError:
             return None
-        jac[:, j] = sqrt_w * (fj - f0) / h
-    return jac
+    if not np.all(np.isfinite(cols)):
+        return None
+    return sqrt_w[:, None] * cols
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _lm_run(family, theta0, x, y, weights, target, max_iterations):
 
     while not converged and iterations < max_iterations:
         iterations += 1
-        jac = _jacobian(family, theta, x, target, f, sqrt_w)
+        jac = _jacobian(family, theta, x, target, sqrt_w)
         if jac is None:
             break
         normal = jac.T @ jac

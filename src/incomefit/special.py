@@ -57,6 +57,12 @@ def _as_array(x, name, require=None):
 def _map_math(fn, x, name, require=None):
     """The one-argument math function fn applied to each element of the
     validated input x, keeping its shape; a scalar or 0-d input gives a float."""
+    # a valid float skips numpy; any other input, or a float that fails a
+    # check, goes through _as_array and raises its DomainError
+    if isinstance(x, float) and math.isfinite(x) and not (
+        (require == "positive" and x <= 0.0) or (require == "nonnegative" and x < 0.0)
+    ):
+        return fn(x)
     arr = _as_array(x, name, require)
     if arr.ndim == 0:
         return fn(float(arr))

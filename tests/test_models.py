@@ -195,6 +195,35 @@ class TestNormalization:
             assert np.all(np.abs(derivative - density) <= tol)
 
 
+
+class TestEvaluateColumns:
+    @pytest.mark.parametrize("which", ["pdf", "ccdf"])
+    def test_values_bit_identical_to_evaluate(self, which):
+        rng = np.random.default_rng(23)
+        x = np.geomspace(30.0, 60000.0, 60)
+        if which == "ccdf":
+            x = np.concatenate(([0.0], x))
+        for model in random_models(rng, 5):
+            vec = param_pack(model)
+            values, cols = models.evaluate_columns(model.family, vec, x, which)
+            assert np.array_equal(values, models.evaluate(model.family, vec, x, which))
+            assert cols.shape == (x.size, vec.size)
+            assert np.all(np.isfinite(cols))
+            if which == "ccdf":
+                # the tail mass at 0 is the amplitude, whatever the shape
+                assert np.array_equal(cols[0], vec * (np.arange(vec.size) % 3 == 0))
+
+    @pytest.mark.parametrize("which", ["pdf", "ccdf"])
+    def test_zero_amplitude_component_has_zero_columns(self, which):
+        x = np.geomspace(10.0, 1e4, 20)
+        for family, vec in (
+            ("bigamma", [1.0, 2.0, 100.0, 0.0, 2.0, 500.0]),
+            ("bilognormal", [1.0, 6.0, 0.5, 0.0, 8.0, 0.7]),
+        ):
+            _, cols = models.evaluate_columns(family, np.array(vec), x, which)
+            assert np.all(cols[:, 3:] == 0.0)
+
+
 class TestSample:
     def test_lognormal_log_mean(self):
         draws = sample(lognormal_model(1.0, 0.0, 1.0), 10**6, seed=7)

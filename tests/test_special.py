@@ -95,6 +95,22 @@ class TestLogGamma:
         # log Gamma(a) ~ -log(a) near zero: finite, 39.14 at 1e-17
         assert log_gamma(a) == math.lgamma(a)
 
+    def test_float_path_matches_lgamma(self):
+        rng = np.random.default_rng(5)
+        for a in [1e-300, 0.5, 1.0, 2.5, 1e300] + rng.uniform(0.01, 200.0, 100).tolist():
+            assert log_gamma(a) == math.lgamma(a)
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [(0.0, "a must be > 0"), (-1.0, "a must be > 0"),
+         (math.nan, "a must be finite"), (math.inf, "a must be finite")],
+    )
+    def test_float_path_raises_like_array_path(self, a, message):
+        for arg in (a, np.array([a])):
+            with pytest.raises(DomainError) as info:
+                log_gamma(arg)
+            assert str(info.value) == message
+
     def test_tiny_shape_gamma_density_is_positive(self):
         value = models.pdf(models.gamma_model(1.0, 1e-17, 1000.0), 10.0)
         assert math.isfinite(value) and value > 0.0
