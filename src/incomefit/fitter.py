@@ -125,44 +125,27 @@ def _from_unconstrained(family, theta):
 
 
 def _predict(family, theta, x, target):
-    """Model ordinates for an unconstrained parameter vector, or None.
+    """Model ordinates and their columns for an unconstrained vector, or None.
 
+    One models.evaluate_columns call gives both: the ordinates, bit for bit
+    those of models.evaluate, and their derivatives in theta's coordinates.
     The exponential map keeps amplitudes, shapes, scales and sigmas >= 0.
     A proposal is rejected by returning None, so the optimizer treats it as
     an infinitely bad step, when a parameter is not finite, a shape, scale
-    or sigma underflows to 0, a kernel fails, or an ordinate is not finite.
-    An amplitude may underflow: a zero-mass component is valid.
+    or sigma underflows to 0, a kernel fails, or an ordinate or a column is
+    not finite. An amplitude may underflow: a zero-mass component is valid.
     """
     with np.errstate(all="ignore"):
         vec = _from_unconstrained(family, theta)
         if not np.all(np.isfinite(vec)) or not np.all(vec[_NONZERO_SLOTS[family]] > 0.0):
             return None
         try:
-            f = models.evaluate(family, vec, x, target)
+            f, cols = models.evaluate_columns(family, vec, x, target)
         except IncomeFitError:
             return None
-    if not np.all(np.isfinite(f)):
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(cols))):
         return None
-    return f
-
-
-def _jacobian(family, theta, x, target, sqrt_w):
-    """Weighted Jacobian of the ordinates at an accepted theta, or None if a
-    kernel fails or a column is not finite.
-
-    The columns come from models.evaluate_columns, in theta's coordinates:
-    closed form, except one forward difference per gamma shape.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            _, cols = models.evaluate_columns(
-                family, _from_unconstrained(family, theta), x, target
-            )
-        except IncomeFitError:
-            return None
-    if not np.all(np.isfinite(cols)):
-        return None
-    return sqrt_w[:, None] * cols
+    return f, cols
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +156,10 @@ def _jacobian(family, theta, x, target, sqrt_w):
 def _lm_run(family, theta0, x, y, weights, target, max_iterations):
     """Up to max_iterations damped Gauss-Newton steps; None for a diverged start."""
     sqrt_w = np.sqrt(weights)
-    f = _predict(family, theta0, x, target)
-    if f is None:
+    predicted = _predict(family, theta0, x, target)
+    if predicted is None:
         return None
+    f, cols = predicted
     theta = theta0.copy()
     r = sqrt_w * (y - f)
     ss = float(r @ r)
@@ -185,9 +169,7 @@ def _lm_run(family, theta0, x, y, weights, target, max_iterations):
 
     while not converged and iterations < max_iterations:
         iterations += 1
-        jac = _jacobian(family, theta, x, target, sqrt_w)
-        if jac is None:
-            break
+        jac = sqrt_w[:, None] * cols
         normal = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(normal).copy()
@@ -202,8 +184,9 @@ def _lm_run(family, theta0, x, y, weights, target, max_iterations):
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 trial = theta + delta
-                f_trial = _predict(family, trial, x, target)
-                if f_trial is not None:
+                predicted = _predict(family, trial, x, target)
+                if predicted is not None:
+                    f_trial, cols_trial = predicted
                     r_trial = sqrt_w * (y - f_trial)
                     ss_trial = float(r_trial @ r_trial)
                     if np.isfinite(ss_trial) and ss_trial <= ss:
@@ -215,7 +198,7 @@ def _lm_run(family, theta0, x, y, weights, target, max_iterations):
 
         assert ss_trial <= ss, "accepted LM step increased the sum of squares"
         ss_prev = ss
-        theta, f, r, ss = trial, f_trial, r_trial, ss_trial
+        theta, f, cols, r, ss = trial, f_trial, cols_trial, r_trial, ss_trial
         lam = max(lam * _DAMPING_DOWN, _DAMPING_FLOOR)
 
         step_norm = float(np.linalg.norm(delta))

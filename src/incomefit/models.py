@@ -317,6 +317,8 @@ def evaluate_columns(family, vec, x, which):
     and sigma (d/d ln p = p d/dp, so a zero-amplitude component gives zero
     columns) and to mu itself. Every column is exact except a gamma shape's,
     a forward difference in ln n. Nothing is validated, as in evaluate.
+    The fitter makes this one call per proposal and uses both results: the
+    ordinates to score it and, once accepted, the columns as its Jacobian.
     """
     component, columns = _COMPONENT[family], _COLUMNS[family]
     v = [float(t) for t in vec]

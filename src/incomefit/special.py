@@ -7,8 +7,9 @@ evaluated here: its series and continued fraction run element by element on
 Python floats, each element stopping at its own convergence (relative
 tolerance 1e-14) or raising ConvergenceError after 512 terms, while the
 prefactor exp(-x + a log x - log Gamma(a)) is computed in numpy. numpy's exp
-differs from math.exp in the last bit on a few percent of arguments, so the
-numpy prefactor keeps P and Q bit-identical to the array loops they replaced.
+differs from math.exp in the last bit on a few percent of arguments, so
+math.exp there would move the last bits of P and Q, and with them the fitted
+gamma parameters; the numpy prefactor keeps both fixed.
 All functions accept scalars or numpy arrays and are pure and reentrant; a
 scalar or 0-d input gives a float.
 """

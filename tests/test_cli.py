@@ -10,9 +10,9 @@ import pytest
 
 from conftest import FIXTURES, valley_ratio
 from incomefit.cli import build_parser, main
-from incomefit.empirical import load_histogram, save_histogram, to_pdf_curve
-from incomefit.errors import FitFailureError
-from incomefit.fitter import FitConfig
+from incomefit.empirical import load_histogram, save_histogram, to_ccdf_curve, to_pdf_curve
+from incomefit.errors import FitFailureError, PreconditionError
+from incomefit.fitter import FitConfig, fit
 
 BIMODAL = FIXTURES / "synthetic_bimodal.csv"
 WORLD3 = FIXTURES / "synthetic_world3.csv"
@@ -183,6 +183,15 @@ class TestFit:
         assert code == 2
         assert str(config) in capsys.readouterr().err
 
+    def test_ccdf_target_matches_library_fit(self, tmp_path):
+        out = tmp_path / "result.txt"
+        code = main(["fit", str(WORLD3), "--family", "gamma", "--target", "ccdf",
+                     "--out", str(out)])
+        assert code == 0
+        expected = fit(to_ccdf_curve(load_histogram(WORLD3)), "gamma", FitConfig(target="ccdf"))
+        assert read_kv(out)["r_squared"] == repr(expected.r_squared)
+        assert "# kind: ccdf" in (tmp_path / "result.curve.txt").read_text().splitlines()
+
     def test_log_density_flag(self, tmp_path):
         out = tmp_path / "result.txt"
         code = main(
@@ -218,6 +227,29 @@ class TestTable:
                       "--out", str(single)])
                 assert float(read_kv(single)["r_squared"]) == cells[year][i]
 
+    def test_both_targets_get_columns(self, tmp_path):
+        out = tmp_path / "table.txt"
+        code = main(["table", "--input", f"2018={WORLD3}", "--families", "gamma",
+                     "--targets", "pdf,ccdf", "--out", str(out)])
+        assert code == 0
+        header = (tmp_path / "table.txt.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["year", "gamma:pdf", "gamma:ccdf"]
+
+    @pytest.mark.parametrize(
+        "error, expected", [(FitFailureError, 4), (PreconditionError, 2)]
+    )
+    def test_fit_errors_name_input_and_cell(self, tmp_path, capsys, monkeypatch,
+                                            error, expected):
+        def fail(curve, family, config=None, init=None):
+            raise error("no fit")
+
+        monkeypatch.setattr("incomefit.cli.fit", fail)
+        code = main(["table", "--input", f"2018={WORLD3}", "--families", "gamma",
+                     "--out", str(tmp_path / "t.txt")])
+        assert code == expected
+        err = capsys.readouterr().err
+        assert str(WORLD3) in err and "(gamma:pdf)" in err
+
     def test_year_from_label_metadata(self, tmp_path):
         out = tmp_path / "table.txt"
         code = main(
@@ -233,6 +265,14 @@ class TestTable:
              "--out", str(tmp_path / "t.txt")]
         )
         assert code == 1
+        for flags in (
+            ["--input", f"1988={BIMODAL}", "--families", "pareto"],
+            ["--input", f"1988={BIMODAL}", "--families", "gamma", "--targets", "cdf"],
+            ["--input", f"1988={BIMODAL}", "--families", "gamma", "--targets", ""],
+            ["--families", "gamma"],
+        ):
+            assert main(["table", *flags, "--out", str(tmp_path / "t.txt")]) == 1, flags
+        assert list(tmp_path.iterdir()) == []
 
     def test_failing_input_aborts_with_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -350,6 +390,10 @@ class TestUsage:
     def test_unknown_family_exit_one(self, tmp_path):
         assert main(["fit", str(BIMODAL), "--family", "pareto",
                      "--out", str(tmp_path / "r.txt")]) == 1
+        # a FitConfig range error given as a flag is a usage error
+        assert main(["fit", str(BIMODAL), "--family", "gamma", "--max-iterations", "0",
+                     "--out", str(tmp_path / "r.txt")]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_exit_one(self):
         assert main(["transmogrify"]) == 1

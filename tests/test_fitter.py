@@ -1,6 +1,7 @@
 """Fitting engine: recovery, initialization, nesting, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from incomefit.errors import DomainError, FitFailureError, PreconditionError
 from incomefit.fitter import (
     FitConfig,
     _from_unconstrained,
-    _jacobian,
     _find_valley,
     _predict,
     _to_unconstrained,
@@ -282,6 +282,27 @@ class TestRefitNested:
         assert bi.r_squared - uni.r_squared <= 0.01
         assert uni.r_squared >= 0.98
 
+    @pytest.mark.parametrize("family", ["gamma", "lognormal"])
+    def test_fallback_embeds_the_unimodal_fit(self, family, monkeypatch):
+        # an attempt worse than the unimodal fit must give way to the
+        # degenerate embedding: the unimodal component plus a zero-mass one
+        curve = exact_curve(TRUTHS["bilognormal"], "pdf")
+        uni = fit(curve, family)
+        worse = replace(uni, ss_res=2.0 * uni.ss_res + 1.0, iterations=7,
+                        converged=not uni.converged)
+        monkeypatch.setattr("incomefit.fitter.fit", lambda *args, **kwargs: worse)
+        bi = refit_nested(curve, uni)
+        vec = models.param_pack(bi.model)
+        assert bi.model.family == models.bimodal_counterpart(family)
+        assert vec[3] == 0.0
+        assert np.array_equal(vec[:3], models.param_pack(uni.model))
+        uni_ss = float(np.sum((curve.y - models.pdf(uni.model, curve.x)) ** 2))
+        assert bi.ss_res == uni_ss
+        assert bi.ss_res == pytest.approx(uni.ss_res, rel=1e-12)
+        assert bi.r_squared == 1.0 - bi.ss_res / bi.ss_tot
+        assert bi.converged == uni.converged
+        assert bi.iterations == 7
+
     def test_rejects_bimodal_input(self):
         curve = exact_curve(TRUTHS["bigamma"], "pdf")
         bi = fit(curve, "bigamma")
@@ -366,11 +387,11 @@ class TestInvariants:
         theta = _to_unconstrained(family, models.param_pack(truth))
         analytic = np.arange(theta.size) % 3 != 1 if "gamma" in family else slice(None)
         rng = np.random.default_rng(41)
-        sqrt_w = np.ones_like(x)
         for _ in range(5):
             point = theta + jitter * rng.standard_normal(theta.size)
-            jac = _jacobian(family, point, x, target, sqrt_w)
-            assert jac is not None
+            predicted = _predict(family, point, x, target)
+            assert predicted is not None
+            jac = predicted[1]
             central = np.empty_like(jac)
             for j in range(point.size):
                 h = 1e-6 * max(abs(point[j]), 1.0)
@@ -378,7 +399,7 @@ class TestInvariants:
                 up[j] += h
                 down[j] -= h
                 central[:, j] = (
-                    _predict(family, up, x, target) - _predict(family, down, x, target)
+                    _predict(family, up, x, target)[0] - _predict(family, down, x, target)[0]
                 ) / (2.0 * h)
             col_norm = np.linalg.norm(central, axis=0)
             err = np.linalg.norm(jac - central, axis=0) / col_norm
@@ -399,25 +420,34 @@ class TestInvariants:
             for log_scale in (-690.0, -700.0):
                 squashed = theta.copy()
                 squashed[j] = log_scale
-                if _predict(family, squashed, x, target) is None:
-                    continue  # x / m overflows, which the gamma ccdf kernel rejects
-                jac = _jacobian(family, squashed, x, target, np.ones_like(x))
-                assert jac is not None and np.all(np.isfinite(jac))
+                with np.errstate(all="ignore"):
+                    try:
+                        models.evaluate(family, _from_unconstrained(family, squashed), x, target)
+                    except DomainError:
+                        continue  # x / m overflows, which the gamma ccdf kernel rejects
+                # _predict returns None for a non-finite column
+                predicted = _predict(family, squashed, x, target)
+                assert predicted is not None
+                jac = predicted[1]
                 comp = slice(j - 2, j + 1)
-                own = _predict(sub, squashed[comp], x, target)
+                own = _predict(sub, squashed[comp], x, target)[0]
                 assert np.any(own == 0.0)
                 assert np.all(jac[own == 0.0, comp] == 0.0)
                 checked += 1
         assert checked >= theta.size // 3
 
-    def test_shim_rejects_pathological_proposals(self):
+    def test_shim_rejects_pathological_proposals(self, monkeypatch):
         family = "gamma"
         x = np.geomspace(10.0, 1e4, 20)
         wild = np.array([800.0, 800.0, 800.0])  # exp overflow -> reject
         assert _predict(family, wild, x, "pdf") is None
         sane = _to_unconstrained(family, [1.0, 2.0, 100.0])
-        f = _predict(family, sane, x, "pdf")
-        assert f is not None and np.all(np.isfinite(f))
+        f, cols = _predict(family, sane, x, "pdf")
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(cols))
+        # a non-finite column rejects a proposal, as a non-finite ordinate does
+        cols[3, 1] = np.nan
+        monkeypatch.setattr(models, "evaluate_columns", lambda *args: (f, cols))
+        assert _predict(family, sane, x, "pdf") is None
 
     @pytest.mark.parametrize("target", ["pdf", "ccdf"])
     @pytest.mark.parametrize("family", models.FAMILIES)
@@ -432,15 +462,15 @@ class TestInvariants:
         for j in range(theta.size):
             low = theta.copy()
             low[j] = -800.0
-            f = _predict(family, low, x, target)
+            predicted = _predict(family, low, x, target)
             if j % 3 == 0:
                 zero_mass = vec.copy()
                 zero_mass[j] = 0.0
                 expected = evaluate(models.param_unpack(family, zero_mass), x)
-                assert f is not None
-                assert f == pytest.approx(expected, rel=1e-12, abs=0.0)
+                assert predicted is not None
+                assert predicted[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
             elif j % 3 in must_stay_positive:
-                assert f is None
+                assert predicted is None
 
     def test_transform_round_trip(self):
         for family, truth in TRUTHS.items():

@@ -92,6 +92,8 @@ class TestPdf:
             pdf(gamma_model(1.0, 2.0, 100.0), 0.0)
         with pytest.raises(DomainError):
             pdf(lognormal_model(1.0, 0.0, 1.0), -5.0)
+        with pytest.raises(DomainError):
+            pdf(gamma_model(1.0, 2.0, 100.0), [1.0, math.inf])
 
 
 class TestCdf:
@@ -271,6 +273,8 @@ class TestSample:
             sample(gamma_model(0.9, 2.0, 100.0), 10, seed=1)
         with pytest.raises(PreconditionError):
             sample(bilognormal_model(0.6, 5.0, 0.5, 0.6, 8.0, 0.5), 10, seed=1)
+        with pytest.raises(PreconditionError):
+            sample(gamma_model(1.0, 2.0, 100.0), 0, seed=1)
 
 
 class TestPackUnpack:
@@ -294,6 +298,8 @@ class TestPackUnpack:
             param_unpack("bilognormal", [1.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(PreconditionError):
             param_unpack("gamma", [1.0, 2.0])
+        with pytest.raises(PreconditionError):
+            param_unpack("trigamma", [1.0, 2.0, 3.0])
 
     def test_canonicalization_swaps_components(self):
         packed = param_pack(bigamma_model(0.3, 2.0, 5000.0, 0.7, 1.5, 100.0))
@@ -316,6 +322,8 @@ class TestSpecValidation:
             GammaParams(-0.1, 2.0, 3.0)
         with pytest.raises(PreconditionError):
             LogNormalParams(1.0, 0.0, 0.0)
+        with pytest.raises(PreconditionError):
+            GammaParams(math.nan, 2.0, 3.0)
 
     def test_zero_amplitude_component_allowed(self):
         spec = ModelSpec(

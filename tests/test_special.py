@@ -89,6 +89,8 @@ class TestLogGamma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             log_gamma(-1.0)
+        with pytest.raises(DomainError):
+            log_gamma([])
 
     @pytest.mark.parametrize("a", [1e-17, 1e-15])
     def test_tiny_arguments_match_lgamma(self, a):
@@ -99,6 +101,9 @@ class TestLogGamma:
         rng = np.random.default_rng(5)
         for a in [1e-300, 0.5, 1.0, 2.5, 1e300] + rng.uniform(0.01, 200.0, 100).tolist():
             assert log_gamma(a) == math.lgamma(a)
+        # a 0-d array takes the array path and still gives a float
+        zero_d = log_gamma(np.array(2.5))
+        assert type(zero_d) is float and zero_d == math.lgamma(2.5)
 
     @pytest.mark.parametrize(
         "a, message",
