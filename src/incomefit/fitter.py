@@ -5,6 +5,12 @@ unconstrained parameter space: amplitudes, shapes, scales and sigmas live as
 their logarithms, log-normal locations stay linear. Every fit runs a jittered
 multistart and keeps the best sum of squares; goodness of fit is the ordinary
 coefficient of determination on the curve ordinates.
+
+The starts of a multistart run in lockstep as one batch: each round scores
+one proposal of every running start in a single model call. Each start
+keeps its own damping, iteration count and stop, and every batched step is
+bit for bit the one-start computation, so the results are identical to
+running the starts one by one.
 """
 
 import math
@@ -117,35 +123,70 @@ def _to_unconstrained(family, vec):
 
 
 def _from_unconstrained(family, theta):
-    vec = np.array(theta, dtype=float)
-    pos = _POSITIVE_SLOTS[family]
     with np.errstate(over="ignore", under="ignore"):
-        vec[pos] = np.exp(vec[pos])
-    return vec
+        return np.where(_POSITIVE_SLOTS[family], np.exp(theta), theta)
 
 
 def _predict(family, theta, x, target):
-    """Model ordinates and their columns for an unconstrained vector, or None.
+    """Model ordinates, their columns and an acceptance mask for a (k, p)
+    stack of unconstrained vectors, one row per start.
 
-    One models.evaluate_columns call gives both: the ordinates, bit for bit
-    those of models.evaluate, and their derivatives in theta's coordinates.
-    The exponential map keeps amplitudes, shapes, scales and sigmas >= 0.
-    A proposal is rejected by returning None, so the optimizer treats it as
-    an infinitely bad step, when a parameter is not finite, a shape, scale
-    or sigma underflows to 0, a kernel fails, or an ordinate or a column is
-    not finite. An amplitude may underflow: a zero-mass component is valid.
+    One models.evaluate_columns call gives the ordinates, bit for bit those
+    of models.evaluate, and their derivatives in theta's coordinates, for
+    every row at once. The exponential map keeps amplitudes, shapes, scales
+    and sigmas >= 0. A row is rejected (its mask entry is False, so the
+    optimizer treats it as an infinitely bad step) when a parameter is not
+    finite, a shape, scale or sigma underflows to 0, a kernel fails on it,
+    or one of its ordinates or columns is not finite. An amplitude may
+    underflow: a zero-mass component is valid. A kernel error fails the
+    whole stacked call, so the rows are then evaluated one by one, and only
+    the failing rows are rejected.
     """
     with np.errstate(all="ignore"):
         vec = _from_unconstrained(family, theta)
-        if not np.all(np.isfinite(vec)) or not np.all(vec[_NONZERO_SLOTS[family]] > 0.0):
-            return None
+        ok = np.isfinite(vec).all(axis=1) & (vec[:, _NONZERO_SLOTS[family]] > 0.0).all(axis=1)
         try:
-            f, cols = models.evaluate_columns(family, vec, x, target)
+            if ok.all():
+                f, cols = models.evaluate_columns(family, vec, x, target)
+            else:
+                f, cols = _nan_stack(theta.shape, x.size)
+                if ok.any():
+                    f[ok], cols[ok] = models.evaluate_columns(family, vec[ok], x, target)
         except IncomeFitError:
-            return None
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(cols))):
-        return None
-    return f, cols
+            f, cols = _nan_stack(theta.shape, x.size)
+            for i in np.flatnonzero(ok):
+                try:
+                    f[i], cols[i] = models.evaluate_columns(family, vec[i], x, target)
+                except IncomeFitError:
+                    pass
+    return f, cols, np.isfinite(f).all(axis=1) & np.isfinite(cols).all(axis=(1, 2))
+
+
+def _nan_stack(shape, n):
+    k, p = shape
+    return np.full((k, n), np.nan), np.full((k, n, p), np.nan)
+
+
+def _sum_squares(r):
+    """r . r of each row of r, as a batched matmul: bit for bit the 1-D dot
+    of each row alone, which einsum is not."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _solve(a, b):
+    """Solutions of a (k, p, p) stack of systems; a NaN row for a singular one.
+    A batched solve fails as a whole when any matrix is singular, so the
+    systems are then solved one by one."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, np.nan)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,65 +194,95 @@ def _predict(family, theta, x, target):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lm_run(family, theta0, x, y, weights, target, max_iterations):
-    """Up to max_iterations damped Gauss-Newton steps; None for a diverged start."""
+def _lm_run(family, starts, x, y, weights, target, max_iterations):
+    """Up to max_iterations damped Gauss-Newton steps from each row of the
+    (k, p) stack of starts, all run in lockstep.
+
+    Each round makes one proposal for every running start, at that start's
+    own damping, and scores them all in one model call. A start keeps its
+    own damping, iteration count and stop, so it ends exactly as it would
+    running alone: when it converges, reaches max_iterations, or its damping
+    passes _DAMPING_CAP; it then leaves the stack. Returns one (theta, ss,
+    iterations, converged, f) tuple per start, None for a diverged start.
+    """
     sqrt_w = np.sqrt(weights)
-    predicted = _predict(family, theta0, x, target)
-    if predicted is None:
-        return None
-    f, cols = predicted
-    theta = theta0.copy()
+    row_weights = sqrt_w[:, None]
+    theta = np.array(starts, dtype=float)
+    k, p = theta.shape
+    f, cols, ok = _predict(family, theta, x, target)
     r = sqrt_w * (y - f)
-    ss = float(r @ r)
-    lam = _DAMPING_INIT
+    # a start whose first evaluation is rejected has diverged: its NaN sum of
+    # squares stops it at once, with no result
+    ss = np.where(ok, _sum_squares(r), np.nan)
+    lam = np.full(k, _DAMPING_INIT)
+    iterations = np.zeros(k, dtype=int)
     converged = ss == 0.0
-    iterations = 0
+    # a start begins a new iteration, with new normal equations, after an
+    # accepted proposal; after a rejected one it retries at a higher damping
+    begins = np.ones(k, dtype=bool)
+    normal, grad, scale = np.empty((k, p, p)), np.empty((k, p)), np.empty((k, p))
+    index = np.arange(k)  # the running starts' rows in starts
+    results = [None] * k
+    eye = np.eye(p, dtype=bool)
+    stop = np.isnan(ss) | converged
 
-    while not converged and iterations < max_iterations:
-        iterations += 1
-        jac = sqrt_w[:, None] * cols
-        normal = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.diag(normal).copy()
-        floor = max(diag.max(), 0.0) * 1e-14 + 1e-300
-        diag[diag < floor] = floor
+    while True:
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                if math.isfinite(ss[j]):
+                    results[index[j]] = (theta[j], float(ss[j]), int(iterations[j]),
+                                         bool(converged[j]), f[j])
+            keep = ~stop
+            (theta, f, cols, r, ss, lam, iterations, converged, begins, normal, grad, scale,
+             index) = (a[keep] for a in (theta, f, cols, r, ss, lam, iterations, converged,
+                                         begins, normal, grad, scale, index))
+            if not index.size:
+                return results
 
-        accepted = False
-        while lam <= _DAMPING_CAP:
-            try:
-                delta = np.linalg.solve(normal + lam * np.diag(diag), grad)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                trial = theta + delta
-                predicted = _predict(family, trial, x, target)
-                if predicted is not None:
-                    f_trial, cols_trial = predicted
-                    r_trial = sqrt_w * (y - f_trial)
-                    ss_trial = float(r_trial @ r_trial)
-                    if np.isfinite(ss_trial) and ss_trial <= ss:
-                        accepted = True
-                        break
-            lam *= _DAMPING_UP
-        if not accepted:
-            break
+        if begins.any():
+            # every start's normal equations at its current point: a
+            # retrying start's come out the same again, bit for bit
+            iterations += begins
+            jac = row_weights * cols
+            jac_t = jac.transpose(0, 2, 1)
+            normal = jac_t @ jac
+            grad = (jac_t @ r[:, :, None])[:, :, 0]
+            diag = normal.diagonal(axis1=1, axis2=2)
+            floor = np.maximum(diag.max(axis=1, keepdims=True), 0.0) * 1e-14 + 1e-300
+            scale = np.where(diag < floor, floor, diag)
+        damping = np.where(eye, (lam[:, None] * scale)[:, None, :], 0.0)
+        delta = _solve(normal + damping, grad)
+        # a step that is not finite is rejected unscored, as its NaN trial is
+        delta[~np.isfinite(delta).all(axis=1)] = np.nan
 
-        assert ss_trial <= ss, "accepted LM step increased the sum of squares"
-        ss_prev = ss
-        theta, f, cols, r, ss = trial, f_trial, cols_trial, r_trial, ss_trial
-        lam = max(lam * _DAMPING_DOWN, _DAMPING_FLOOR)
+        trial = theta + delta
+        f_trial, cols_trial, ok = _predict(family, trial, x, target)
+        r_trial = sqrt_w * (y - f_trial)
+        ss_trial = _sum_squares(r_trial)
+        begins = ok & np.isfinite(ss_trial) & (ss_trial <= ss)
+        if not begins.any():
+            lam = lam * _DAMPING_UP
+            stop = lam > _DAMPING_CAP
+            continue
 
-        step_norm = float(np.linalg.norm(delta))
-        if step_norm <= _STEP_TOL * (float(np.linalg.norm(theta)) + _STEP_TOL):
-            converged = True
-        elif ss_prev - ss <= _RESIDUAL_TOL * ss_prev:
-            converged = True
-        elif ss == 0.0:
-            converged = True
-
-    if not math.isfinite(ss):
-        return None
-    return theta, ss, iterations, converged, f
+        assert np.all(ss_trial[begins] <= ss[begins]), "accepted LM step increased SS"
+        step_norm = np.sqrt(_sum_squares(delta))
+        theta_norm = np.sqrt(_sum_squares(trial))
+        converged = begins & (
+            (step_norm <= _STEP_TOL * (theta_norm + _STEP_TOL))
+            | (ss - ss_trial <= _RESIDUAL_TOL * ss)
+            | (ss_trial == 0.0)
+        )
+        lam = np.where(begins, np.maximum(lam * _DAMPING_DOWN, _DAMPING_FLOOR), lam * _DAMPING_UP)
+        stop = converged | (begins & (iterations >= max_iterations)) | (lam > _DAMPING_CAP)
+        if begins.all():
+            theta, f, cols, r, ss = trial, f_trial, cols_trial, r_trial, ss_trial
+        else:
+            theta = np.where(begins[:, None], trial, theta)
+            f = np.where(begins[:, None], f_trial, f)
+            cols = np.where(begins[:, None, None], cols_trial, cols)
+            r = np.where(begins[:, None], r_trial, r)
+            ss = np.where(begins, ss_trial, ss)
 
 
 def _curve_weights(curve, weighting):
@@ -304,7 +375,7 @@ def _median_split(x, y):
 def _side_refine(x, y, subfamily, start):
     """Short single-start LM polish of a side's moment estimate vector."""
     theta0 = _to_unconstrained(subfamily, start)
-    out = _lm_run(subfamily, theta0, x, y, np.ones_like(y), PDF, 60)
+    (out,) = _lm_run(subfamily, theta0[None], x, y, np.ones_like(y), PDF, 60)
     if out is None:
         return start
     return _from_unconstrained(subfamily, out[0])
@@ -386,13 +457,10 @@ def fit(curve, family, config=None, init=None):
     for _ in range(config.multistart_count - 1):
         starts.append(theta0 + _JITTER_SIGMA * rng.standard_normal(n_par))
 
-    runs = []
-    for theta_start in starts:
-        out = _lm_run(
-            family, theta_start, curve.x, curve.y, weights, config.target, config.max_iterations
-        )
-        if out is not None:
-            runs.append(out)
+    outs = _lm_run(
+        family, starts, curve.x, curve.y, weights, config.target, config.max_iterations
+    )
+    runs = [out for out in outs if out is not None]
     if not runs:
         raise FitFailureError(
             f"all {config.multistart_count} starts diverged fitting {family} "

@@ -206,8 +206,21 @@ def total_amplitude(model):
     return float(sum(param_pack(model)[::3]))
 
 
+def _each(fn, *params):
+    """fn of each start's parameters, computed in math on Python floats: a
+    float for float parameters, a (k, 1) column for (k, 1) columns. numpy's
+    exp and log may differ from math's in the last bit, so the scalar terms
+    of a stacked call stay in math, as those of a single one are."""
+    if isinstance(params[0], float):
+        return fn(*params)
+    rows = zip(*(p[:, 0].tolist() for p in params))
+    return np.array([fn(*row) for row in rows])[:, None]
+
+
 def _gamma_component(amplitude, shape, scale, x, which):
-    if amplitude == 0.0:
+    # stacked (k, 1) amplitudes are all > 0: evaluate_columns runs a row
+    # with a zero-mass component alone
+    if isinstance(amplitude, float) and amplitude == 0.0:
         return np.zeros_like(x)
     if which == "cdf":
         return amplitude * reg_lower_incomplete_gamma(shape, x / scale)
@@ -216,9 +229,8 @@ def _gamma_component(amplitude, shape, scale, x, which):
         return amplitude * reg_upper_incomplete_gamma(shape, x / scale)
     # log-space evaluation: finite for any valid parameters, underflows to 0
     log_f = (
-        math.log(amplitude)
-        - log_gamma(shape)
-        - shape * math.log(scale)
+        _each(lambda a, n, m: math.log(a) - log_gamma(n) - n * math.log(m),
+              amplitude, shape, scale)
         + (shape - 1.0) * np.log(x)
         - x / scale
     )
@@ -227,28 +239,29 @@ def _gamma_component(amplitude, shape, scale, x, which):
 
 
 def _lognormal_component(amplitude, mu, sigma, x, which):
-    if amplitude == 0.0:
+    if isinstance(amplitude, float) and amplitude == 0.0:
         return np.zeros_like(x)
     if which == "pdf":
         z = (np.log(x) - mu) / sigma
         return amplitude / (x * sigma * _SQRT_TWO_PI) * np.exp(-0.5 * z * z)
-    out = np.zeros_like(x) if which == "cdf" else np.full_like(x, amplitude)
+    # x * amplitude has the (k, n) shape of a stacked call
+    out = np.full_like(x * amplitude, 0.0 if which == "cdf" else amplitude)
     pos = x > 0.0
     if pos.any():
         z = (np.log(x[pos]) - mu) / sigma
-        out[pos] = amplitude * std_normal_cdf(z if which == "cdf" else -z)
+        out[..., pos] = amplitude * std_normal_cdf(z if which == "cdf" else -z)
     return out
 
 
 def _gamma_columns(amplitude, shape, scale, x, which, f):
     """Columns d/d ln A, d/d ln n, d/d ln m of a gamma component whose
     ordinates are f; the shape column is a forward difference in ln n."""
-    if amplitude == 0.0:
+    if isinstance(amplitude, float) and amplitude == 0.0:
         zero = np.zeros_like(x)
         return f, zero, zero
-    log_n = math.log(shape)
-    step = _SHAPE_STEP * max(abs(log_n), 1.0)
-    stepped = _gamma_component(amplitude, math.exp(log_n + step), scale, x, which)
+    step = _each(lambda n: _SHAPE_STEP * max(abs(math.log(n)), 1.0), shape)
+    stepped_shape = _each(lambda n, h: math.exp(math.log(n) + h), shape, step)
+    stepped = _gamma_component(amplitude, stepped_shape, scale, x, which)
     d_shape = (stepped - f) / step
     if which == "pdf":
         # f (x/m - n); where f underflowed to 0, x/m may be inf
@@ -257,7 +270,11 @@ def _gamma_columns(amplitude, shape, scale, x, which, f):
         # x times the density, A t^n e^-t / Gamma(n) at t = x/m: 0 at x = 0
         t = x / scale
         with np.errstate(divide="ignore", under="ignore"):
-            d_scale = np.exp(math.log(amplitude) - log_gamma(shape) + shape * np.log(t) - t)
+            d_scale = np.exp(
+                _each(lambda a, n: math.log(a) - log_gamma(n), amplitude, shape)
+                + shape * np.log(t)
+                - t
+            )
     return f, d_shape, d_scale
 
 
@@ -271,12 +288,12 @@ def _lognormal_columns(amplitude, mu, sigma, x, which, f):
         return f, np.where(live, f * z / sigma, 0.0), np.where(live, f * (z * z - 1.0), 0.0)
     # A phi(z) / sigma and A phi(z) z, both 0 at x = 0; z is finite here, as
     # the normal CDF kernel rejects an infinite one
-    d_mu, d_sigma = np.zeros_like(x), np.zeros_like(x)
+    d_mu, d_sigma = np.zeros_like(f), np.zeros_like(f)
     pos = x > 0.0
     z = (np.log(x[pos]) - mu) / sigma
     dens = amplitude / _SQRT_TWO_PI * np.exp(-0.5 * z * z)
-    d_mu[pos] = dens / sigma
-    d_sigma[pos] = dens * z
+    d_mu[..., pos] = dens / sigma
+    d_sigma[..., pos] = dens * z
     return f, d_mu, d_sigma
 
 
@@ -317,20 +334,50 @@ def evaluate_columns(family, vec, x, which):
     and sigma (d/d ln p = p d/dp, so a zero-amplitude component gives zero
     columns) and to mu itself. Every column is exact except a gamma shape's,
     a forward difference in ln n. Nothing is validated, as in evaluate.
-    The fitter makes this one call per proposal and uses both results: the
-    ordinates to score it and, once accepted, the columns as its Jacobian.
+
+    vec may also be a (k, p) stack of parameter vectors, one per row; the
+    result is then (k, x.size) ordinates and (k, x.size, p) columns, and
+    each row equals, bit for bit, the call on that row alone. A stack is
+    evaluated in one pass over the grid, its per-row scalar terms in math
+    as a single call's are; a kernel error in any row fails the whole call.
+    The fitter makes this one call per round of proposals, one row for each
+    running multistart start, and uses both results: the ordinates to score
+    a proposal and, once it is accepted, the columns as its Jacobian.
     """
+    stack = np.asarray(vec, dtype=float)
+    if stack.ndim == 1:
+        return _component_columns(family, [float(t) for t in stack], x, which)
+    if len(stack) == 1:
+        f, cols = evaluate_columns(family, stack[0], x, which)
+        return f[None], cols[None]
+    if not stack[:, ::3].all():
+        # a zero-mass component takes the single-vector shortcut: row by row
+        rows = [evaluate_columns(family, row, x, which) for row in stack]
+        return np.stack([f for f, _ in rows]), np.stack([cols for _, cols in rows])
+    return _component_columns(family, list(stack.T[:, :, None]), x, which)
+
+
+def _component_columns(family, v, x, which):
+    """Ordinates and columns for v, one float or (k, 1) column per slot."""
     component, columns = _COMPONENT[family], _COLUMNS[family]
-    v = [float(t) for t in vec]
     out, cols = None, []
     for slots in (v[:3], v[3:]) if len(v) == 6 else (v,):
         f = component(*slots, x, which)
         cols.extend(columns(*slots, x, which, f))
         out = f if out is None else out + f
-    return out, np.column_stack(cols)
+    # filled column by column: np.stack costs twice as much on these sizes
+    stacked = np.empty(out.shape + (len(cols),))
+    for j, col in enumerate(cols):
+        stacked[..., j] = col
+    return out, stacked
 
 
 def _evaluate_model(model, x, which):
+    # a valid Python or numpy float skips the array checks; any other input,
+    # or a float that fails a check, goes through them and raises their
+    # DomainError
+    if isinstance(x, float) and math.isfinite(x) and (x > 0.0 if which == "pdf" else x >= 0.0):
+        return float(evaluate(model.family, param_pack(model), np.float64(x), which))
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("x must be finite")

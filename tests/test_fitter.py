@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, binned_histogram, exact_curve
-from incomefit import models
+from incomefit import fitter, models
 from incomefit.empirical import EmpiricalCurve, load_histogram, to_ccdf_curve, to_pdf_curve
 from incomefit.errors import DomainError, FitFailureError, PreconditionError
 from incomefit.fitter import (
     FitConfig,
     _from_unconstrained,
     _find_valley,
+    _lm_run,
     _predict,
+    _solve,
+    _sum_squares,
     _to_unconstrained,
     fit,
     format_fit_result,
@@ -87,6 +90,14 @@ FIXTURE_FITS = {
     ("world3", "ccdf", "bigamma"): (0.999239, True),
     ("world3", "ccdf", "bilognormal"): (0.999746, True),
 }
+
+
+def _predict_one(family, theta, x, target):
+    """_predict on the one-row stack of theta: that row's (f, cols), or None
+    where the row is rejected."""
+    f, cols, ok = _predict(family, theta[None], x, target)
+    return (f[0], cols[0]) if ok[0] else None
+
 
 class TestRSquared:
     def test_perfect_prediction(self):
@@ -389,7 +400,7 @@ class TestInvariants:
         rng = np.random.default_rng(41)
         for _ in range(5):
             point = theta + jitter * rng.standard_normal(theta.size)
-            predicted = _predict(family, point, x, target)
+            predicted = _predict_one(family, point, x, target)
             assert predicted is not None
             jac = predicted[1]
             central = np.empty_like(jac)
@@ -399,7 +410,8 @@ class TestInvariants:
                 up[j] += h
                 down[j] -= h
                 central[:, j] = (
-                    _predict(family, up, x, target)[0] - _predict(family, down, x, target)[0]
+                    _predict_one(family, up, x, target)[0]
+                    - _predict_one(family, down, x, target)[0]
                 ) / (2.0 * h)
             col_norm = np.linalg.norm(central, axis=0)
             err = np.linalg.norm(jac - central, axis=0) / col_norm
@@ -426,11 +438,11 @@ class TestInvariants:
                     except DomainError:
                         continue  # x / m overflows, which the gamma ccdf kernel rejects
                 # _predict returns None for a non-finite column
-                predicted = _predict(family, squashed, x, target)
+                predicted = _predict_one(family, squashed, x, target)
                 assert predicted is not None
                 jac = predicted[1]
                 comp = slice(j - 2, j + 1)
-                own = _predict(sub, squashed[comp], x, target)[0]
+                own = _predict_one(sub, squashed[comp], x, target)[0]
                 assert np.any(own == 0.0)
                 assert np.all(jac[own == 0.0, comp] == 0.0)
                 checked += 1
@@ -440,14 +452,14 @@ class TestInvariants:
         family = "gamma"
         x = np.geomspace(10.0, 1e4, 20)
         wild = np.array([800.0, 800.0, 800.0])  # exp overflow -> reject
-        assert _predict(family, wild, x, "pdf") is None
+        assert _predict_one(family, wild, x, "pdf") is None
         sane = _to_unconstrained(family, [1.0, 2.0, 100.0])
-        f, cols = _predict(family, sane, x, "pdf")
+        f, cols = _predict_one(family, sane, x, "pdf")
         assert np.all(np.isfinite(f)) and np.all(np.isfinite(cols))
         # a non-finite column rejects a proposal, as a non-finite ordinate does
         cols[3, 1] = np.nan
-        monkeypatch.setattr(models, "evaluate_columns", lambda *args: (f, cols))
-        assert _predict(family, sane, x, "pdf") is None
+        monkeypatch.setattr(models, "evaluate_columns", lambda *args: (f[None], cols[None]))
+        assert _predict_one(family, sane, x, "pdf") is None
 
     @pytest.mark.parametrize("target", ["pdf", "ccdf"])
     @pytest.mark.parametrize("family", models.FAMILIES)
@@ -462,7 +474,7 @@ class TestInvariants:
         for j in range(theta.size):
             low = theta.copy()
             low[j] = -800.0
-            predicted = _predict(family, low, x, target)
+            predicted = _predict_one(family, low, x, target)
             if j % 3 == 0:
                 zero_mass = vec.copy()
                 zero_mass[j] = 0.0
@@ -521,3 +533,111 @@ class TestFixtureFits:
         curve = to_pdf_curve(hist) if kind == "pdf" else to_ccdf_curve(hist)
         res = fit(curve, family, FitConfig(target=kind))
         assert (round(res.r_squared, 6), res.converged) == FIXTURE_FITS[fixture, kind, family]
+
+
+def _same_run(a, b):
+    """Two _lm_run results for one start agree bit for bit."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (a[0].tobytes() == b[0].tobytes() and a[1:4] == b[1:4]
+            and a[4].tobytes() == b[4].tobytes())
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", ["pdf", "ccdf"])
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_stack_equals_start_by_start(self, family, kind, monkeypatch):
+        # fit runs its starts as one stack; each start must end exactly as it
+        # does alone, and fit must return the best of those lone runs
+        hist = load_histogram(FIXTURES / "synthetic_world3.csv")
+        curve = to_pdf_curve(hist) if kind == "pdf" else to_ccdf_curve(hist)
+        config = FitConfig(target=kind)
+        calls = []
+
+        def spy(*args):
+            out = _lm_run(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(fitter, "_lm_run", spy)
+        result = fit(curve, family, config)
+        ((args, stacked),) = [(a, out) for a, out in calls if a[0] == family]
+        starts = args[1]
+        assert len(starts) == config.multistart_count
+        alone = [_lm_run(args[0], start[None], *args[2:])[0] for start in starts]
+        assert all(_same_run(a, b) for a, b in zip(alone, stacked))
+        best = min((run for run in alone if run is not None),
+                   key=lambda run: (run[1], run[2], tuple(_from_unconstrained(family, run[0]))))
+        packed = models.param_pack(result.model)
+        assert packed.tobytes() == _from_unconstrained(family, best[0]).tobytes()
+        assert (result.ss_res, result.iterations, result.converged) == best[1:4]
+
+    @pytest.mark.parametrize("mode", ["raise", "nan"])
+    def test_failing_start_leaves_the_others_alone(self, mode, monkeypatch):
+        # the log-gamma kernel fails (raises, or returns NaN) on every shape
+        # one start's lone run visits after its first evaluation; only that
+        # start's proposals are rejected, and the others end as they do alone
+        curve = to_pdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
+        theta0 = _to_unconstrained("gamma", models.param_pack(initialize(curve, "gamma")))
+        rng = np.random.default_rng(3)
+        starts = theta0 + 0.3 * rng.standard_normal((4, theta0.size))
+        starts[0] = theta0
+        run_args = (curve.x, curve.y, np.ones_like(curve.y), "pdf", 500)
+        log_gamma = models.log_gamma
+        seen = []
+
+        def recording(n):
+            seen.append(n)
+            return log_gamma(n)
+
+        monkeypatch.setattr(models, "log_gamma", recording)
+        lone, visited = [], []
+        for start in starts:
+            seen.clear()
+            lone.append(_lm_run("gamma", start[None], *run_args)[0])
+            visited.append(set(seen))
+        poisoned = 2
+        seen.clear()
+        _predict("gamma", starts[poisoned][None], curve.x, "pdf")
+        first = set(seen)
+        bad = visited[poisoned] - first - set().union(*(visited[i] for i in (0, 1, 3)))
+        assert len(bad) > 10
+
+        def failing(n):
+            if n in bad:
+                if mode == "raise":
+                    raise DomainError("poisoned shape")
+                return math.nan
+            return log_gamma(n)
+
+        monkeypatch.setattr(models, "log_gamma", failing)
+        stacked = _lm_run("gamma", starts, *run_args)
+        poisoned_alone = _lm_run("gamma", starts[poisoned][None], *run_args)[0]
+        for i in (0, 1, 3):
+            assert _same_run(stacked[i], lone[i])
+        assert stacked[poisoned] is not None
+        assert _same_run(stacked[poisoned], poisoned_alone)
+        assert not _same_run(stacked[poisoned], lone[poisoned])
+
+    def test_singular_system_leaves_the_others_alone(self):
+        # a batched solve fails as a whole on one singular matrix; the others
+        # must still get their lone solutions, and the singular one NaN
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 3, 3))
+        a[1] = 0.0
+        b = rng.standard_normal((4, 3))
+        out = _solve(a, b)
+        assert np.all(np.isnan(out[1]))
+        for i in (0, 2, 3):
+            assert out[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+    def test_row_reductions_equal_one_row_ones(self):
+        # the core's sums of squares and step norms on a stack must be, bit
+        # for bit, the 1-D dot and np.linalg.norm of each row alone
+        rng = np.random.default_rng(7)
+        for n in (3, 6, 60, 61):
+            rows = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-8, 3, (8, 1))
+            sums = _sum_squares(rows)
+            for row, total in zip(rows, sums):
+                assert total == float(row @ row)
+                assert math.sqrt(total) == float(np.linalg.norm(row))

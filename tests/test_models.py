@@ -226,6 +226,55 @@ class TestEvaluateColumns:
             assert np.all(cols[:, 3:] == 0.0)
 
 
+    @pytest.mark.parametrize("which", ["pdf", "ccdf"])
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_stacked_rows_equal_single_vector_calls(self, family, which):
+        # every row of a (k, p) stack, a one-row stack included, equals the
+        # call on that row alone bit for bit; a row with a zero-mass
+        # component runs alone inside a stack
+        rng = np.random.default_rng(29)
+        x = np.geomspace(30.0, 60000.0, 60)
+        if which == "ccdf":
+            x = np.concatenate(([0.0], x))
+        stack = np.array([param_pack(m) for m in random_models(rng, 6) if m.family == family])
+        zero_mass = stack[0].copy()
+        zero_mass[-3] = 0.0
+        for rows in (stack, stack[:1], np.vstack((stack, zero_mass))):
+            values, cols = models.evaluate_columns(family, rows, x, which)
+            assert values.shape == (len(rows), x.size)
+            assert cols.shape == (len(rows), x.size, rows.shape[1])
+            for row, row_values, row_cols in zip(rows, values, cols):
+                alone_values, alone_cols = models.evaluate_columns(family, row, x, which)
+                assert row_values.tobytes() == alone_values.tobytes()
+                assert row_cols.tobytes() == alone_cols.tobytes()
+
+
+class TestScalarCalls:
+    @pytest.mark.parametrize("fn", [pdf, cdf, ccdf])
+    def test_float_equals_zero_d_array(self, fn):
+        # a Python or numpy float skips the array checks, with the same result
+        for model in random_models(np.random.default_rng(31), 2):
+            for x in (0.5, 1234.5, 3e5):
+                out = fn(model, x)
+                assert type(out) is float
+                assert out == fn(model, np.float64(x)) == fn(model, np.array(x))
+
+    @pytest.mark.parametrize("fn, bad", [
+        (pdf, (0.0, -1.0, math.nan, math.inf)),
+        (cdf, (-1.0, math.nan, -math.inf)),
+        (ccdf, (-1.0, math.nan, math.inf)),
+    ])
+    def test_invalid_floats_raise_the_array_errors(self, fn, bad):
+        model = gamma_model(1.0, 2.0, 100.0)
+        for x in bad:
+            with pytest.raises(DomainError) as expected:
+                fn(model, np.array([x]))
+            for scalar in (x, np.float64(x)):
+                with pytest.raises(DomainError) as raised:
+                    fn(model, scalar)
+                assert str(raised.value) == str(expected.value)
+
+
 class TestSample:
     def test_lognormal_log_mean(self):
         draws = sample(lognormal_model(1.0, 0.0, 1.0), 10**6, seed=7)
