@@ -221,7 +221,7 @@ def _gamma_component(amplitude, shape, scale, x, which):
     # stacked (k, 1) amplitudes are all > 0: evaluate_columns runs a row
     # with a zero-mass component alone
     if isinstance(amplitude, float) and amplitude == 0.0:
-        return np.zeros_like(x)
+        return 0.0 if isinstance(x, float) else np.zeros_like(x)
     if which == "cdf":
         return amplitude * reg_lower_incomplete_gamma(shape, x / scale)
     if which == "ccdf":
@@ -240,17 +240,27 @@ def _gamma_component(amplitude, shape, scale, x, which):
 
 def _lognormal_component(amplitude, mu, sigma, x, which):
     if isinstance(amplitude, float) and amplitude == 0.0:
-        return np.zeros_like(x)
+        return 0.0 if isinstance(x, float) else np.zeros_like(x)
     if which == "pdf":
         z = (np.log(x) - mu) / sigma
-        return amplitude / (x * sigma * _SQRT_TWO_PI) * np.exp(-0.5 * z * z)
+        # np.divide: a float x whose product underflows to 0 gives inf and
+        # numpy's warning, as an array does, not ZeroDivisionError
+        return np.divide(amplitude, x * sigma * _SQRT_TWO_PI) * np.exp(-0.5 * z * z)
+    at_zero = 0.0 if which == "cdf" else amplitude
+    if isinstance(x, float):
+        return _normal_mass(amplitude, mu, sigma, x, which) if x > 0.0 else at_zero
     # x * amplitude has the (k, n) shape of a stacked call
-    out = np.full_like(x * amplitude, 0.0 if which == "cdf" else amplitude)
+    out = np.full_like(x * amplitude, at_zero)
     pos = x > 0.0
     if pos.any():
-        z = (np.log(x[pos]) - mu) / sigma
-        out[..., pos] = amplitude * std_normal_cdf(z if which == "cdf" else -z)
+        out[..., pos] = _normal_mass(amplitude, mu, sigma, x[pos], which)
     return out
+
+
+def _normal_mass(amplitude, mu, sigma, x, which):
+    """A log-normal component's cdf or ccdf at x > 0."""
+    z = (np.log(x) - mu) / sigma
+    return amplitude * std_normal_cdf(z if which == "cdf" else -z)
 
 
 def _gamma_columns(amplitude, shape, scale, x, which, f):
@@ -312,11 +322,13 @@ _COLUMNS = {
 
 
 def evaluate(family, vec, x, which):
-    """Summed "pdf", "cdf" or "ccdf" ordinates at a float array or numpy float x.
+    """Summed "pdf", "cdf" or "ccdf" ordinates at a float array or a float x.
 
     vec is the family's canonical parameter vector, three slots per
     component. Nothing is validated: callers guarantee positive shapes,
-    scales and sigmas, non-negative amplitudes and x in the domain.
+    scales and sigmas, non-negative amplitudes and x in the domain. A float
+    x runs in Python floats, numpy's log and exp applied to the scalar, and
+    gives the bits of a one-element array.
     """
     component = _COMPONENT[family]
     v = [float(t) for t in vec]
@@ -373,11 +385,14 @@ def _component_columns(family, v, x, which):
 
 
 def _evaluate_model(model, x, which):
-    # a valid Python or numpy float skips the array checks; any other input,
-    # or a float that fails a check, goes through them and raises their
-    # DomainError
+    # a scalar (a Python or numpy float, or any 0-d input) that passes the
+    # checks is evaluated as a float on the record's fields; any other
+    # input, or a scalar that fails a check, goes through the array checks
+    # and raises their DomainError
+    if not isinstance(x, float) and np.ndim(x) == 0:
+        x = float(np.asarray(x, dtype=float))
     if isinstance(x, float) and math.isfinite(x) and (x > 0.0 if which == "pdf" else x >= 0.0):
-        return float(evaluate(model.family, param_pack(model), np.float64(x), which))
+        return float(evaluate(model.family, _vector(model), float(x), which))
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("x must be finite")
@@ -385,9 +400,6 @@ def _evaluate_model(model, x, which):
         raise DomainError("x must be > 0")
     if which != "pdf" and not (arr >= 0.0).all():
         raise DomainError("x must be >= 0")
-    if arr.ndim == 0:
-        # a numpy float runs the same formulas in numpy's faster scalar math
-        return float(evaluate(model.family, param_pack(model), arr[()], which))
     return evaluate(model.family, param_pack(model), arr, which)
 
 
@@ -442,10 +454,15 @@ def sample(model, count, seed):
 
 def param_pack(model):
     """Flatten a model to its canonical parameter vector."""
+    return np.array(_vector(model), dtype=float)
+
+
+def _vector(model):
+    """The canonical parameter vector as a tuple of the record's fields."""
     p = model.params
     if is_bimodal(model.family):
-        return np.array(_slots(p.component1) + _slots(p.component2), dtype=float)
-    return np.array(_slots(p), dtype=float)
+        return _slots(p.component1) + _slots(p.component2)
+    return _slots(p)
 
 
 def _slots(p):

@@ -6,12 +6,13 @@ lgamma, erf and erfc element by element. The regularized incomplete gamma is
 evaluated here: its series and continued fraction run element by element on
 Python floats, each element stopping at its own convergence (relative
 tolerance 1e-14) or raising ConvergenceError after 512 terms, while the
-prefactor exp(-x + a log x - log Gamma(a)) is computed in numpy. numpy's exp
-differs from math.exp in the last bit on a few percent of arguments, so
-math.exp there would move the last bits of P and Q, and with them the fitted
-gamma parameters; the numpy prefactor keeps both fixed.
+prefactor exp(-x + a log x - log Gamma(a)) is computed with numpy's log and
+exp, on the scalar for a pair of floats. numpy's exp differs from math.exp
+in the last bit on a few percent of arguments, so math.exp there would move
+the last bits of P and Q, and with them the fitted gamma parameters; numpy's
+keeps both fixed, and a float call gives the bits of a one-element array.
 All functions accept scalars or numpy arrays and are pure and reentrant; a
-scalar or 0-d input gives a float.
+scalar or 0-d input gives a float, and a float builds no array.
 """
 
 import math
@@ -32,6 +33,8 @@ __all__ = [
 
 # exp(log_gamma) overflows the 64-bit float range just above this argument.
 GAMMA_OVERFLOW_THRESHOLD = 171.62
+# log_gamma itself overflows it just above this one.
+LOG_GAMMA_OVERFLOW_THRESHOLD = 2.5599833278516383e305
 
 # the incomplete gamma's series and continued fraction stop once a term
 # changes the result by less than _TOL relative, or raise after _MAX_TERMS
@@ -55,14 +58,19 @@ def _as_array(x, name, require=None):
     return arr
 
 
+def _valid_float(x, require=None):
+    """Whether x is a float that passes _as_array's checks. A valid float
+    skips numpy; any other input, or a float that fails a check, goes
+    through _as_array and raises its DomainError."""
+    return isinstance(x, float) and math.isfinite(x) and not (
+        (require == "positive" and x <= 0.0) or (require == "nonnegative" and x < 0.0)
+    )
+
+
 def _map_math(fn, x, name, require=None):
     """The one-argument math function fn applied to each element of the
     validated input x, keeping its shape; a scalar or 0-d input gives a float."""
-    # a valid float skips numpy; any other input, or a float that fails a
-    # check, goes through _as_array and raises its DomainError
-    if isinstance(x, float) and math.isfinite(x) and not (
-        (require == "positive" and x <= 0.0) or (require == "nonnegative" and x < 0.0)
-    ):
+    if _valid_float(x, require):
         return fn(x)
     arr = _as_array(x, name, require)
     if arr.ndim == 0:
@@ -74,9 +82,19 @@ def _phi(z):
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+def _lgamma(a):
+    try:
+        return math.lgamma(a)
+    except OverflowError:
+        raise OverflowRangeError(
+            f"log_gamma overflows for a > {LOG_GAMMA_OVERFLOW_THRESHOLD!r}"
+        ) from None
+
+
 def log_gamma(a):
-    """Natural log of the gamma function for a > 0."""
-    return _map_math(math.lgamma, a, "a", require="positive")
+    """Natural log of the gamma function for a > 0; OverflowRangeError
+    once it leaves the 64-bit float range (a above ~2.56e305)."""
+    return _map_math(_lgamma, a, "a", require="positive")
 
 
 def gamma_fn(a):
@@ -144,12 +162,23 @@ def _regularized_gamma(a, x, upper):
     The directly computed part is capped at 1, which rounding can exceed for
     tiny shapes, so both P and Q stay in [0, 1].
     """
+    if _valid_float(a, "positive") and _valid_float(x, "nonnegative"):
+        # the array path's steps on one pair: log-gamma taken at x = 0 too,
+        # the prefactor in numpy's log and exp, so a float gives the bits
+        # and the errors of a one-element array
+        a, x = float(a), float(x)
+        total, log_gamma_a = _series_or_fraction(a, x), _lgamma(a)
+        if x == 0.0:
+            return 1.0 if upper else 0.0
+        log_prefix = -x + a * float(np.log(x)) - log_gamma_a
+        part = min(total * float(np.exp(log_prefix)), 1.0)
+        return part if (x >= a + 1.0) == upper else 1.0 - part
     a_arr = _as_array(a, "a", require="positive")
     x_arr = _as_array(x, "x", require="nonnegative")
     a_b, x_b = np.broadcast_arrays(a_arr, x_arr)
     a_list, x_list = a_b.ravel().tolist(), x_b.ravel().tolist()
     sums = np.array([_series_or_fraction(u, v) for u, v in zip(a_list, x_list)])
-    log_gammas = np.array([math.lgamma(u) for u in a_list]).reshape(a_b.shape)
+    log_gammas = np.array([_lgamma(u) for u in a_list]).reshape(a_b.shape)
     with np.errstate(divide="ignore"):  # log(0) at x = 0, whose sum is 0
         log_prefix = -x_b + a_b * np.log(x_b) - log_gammas
     part = np.minimum(sums.reshape(x_b.shape) * np.exp(log_prefix), 1.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, valley_ratio
+from incomefit import models
 from incomefit.cli import build_parser, main
 from incomefit.empirical import load_histogram, save_histogram, to_ccdf_curve, to_pdf_curve
 from incomefit.errors import FitFailureError, PreconditionError
@@ -170,6 +171,16 @@ class TestFit:
             raise FitFailureError("all 8 starts diverged")
 
         monkeypatch.setattr("incomefit.cli.fit", diverge)
+        code = main(["fit", str(BIMODAL), "--family", "gamma",
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("fit failure:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_shape_start_exit_four(self, tmp_path, capsys, monkeypatch):
+        # a start whose log-gamma overflows is a fit failure, not a crash
+        monkeypatch.setattr("incomefit.fitter.initialize",
+                            lambda curve, family: models.gamma_model(1.0, 1e306, 1000.0))
         code = main(["fit", str(BIMODAL), "--family", "gamma",
                      "--out", str(tmp_path / "r.txt")])
         assert code == 4

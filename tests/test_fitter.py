@@ -370,6 +370,16 @@ class TestInvariants:
         assert np.max(np.abs(p2[shapes] / p1[shapes] - 1.0)) <= 1e-8
         assert abs(r1.r_squared - r2.r_squared) <= 1e-12
 
+    @pytest.mark.parametrize("target", ["pdf", "ccdf"])
+    def test_huge_shape_start_fails_the_fit_cleanly(self, target):
+        # log Gamma(n) overflows for every start: each proposal is rejected
+        # with the kernel's OverflowRangeError, and the fit fails as a whole
+        hist = load_histogram(FIXTURES / "synthetic_bimodal.csv")
+        curve = to_pdf_curve(hist) if target == "pdf" else to_ccdf_curve(hist)
+        init = models.gamma_model(1.0, 1e306, 1000.0)
+        with pytest.raises(FitFailureError):
+            fit(curve, "gamma", FitConfig(target=target), init=init)
+
     def test_r_squared_consistency_field(self):
         curve = exact_curve(TRUTHS["gamma"], "pdf")
         res = fit(curve, "gamma")

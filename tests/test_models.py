@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from incomefit import models
-from incomefit.errors import DomainError, PreconditionError
+from incomefit.errors import DomainError, OverflowRangeError, PreconditionError
 from incomefit.models import (
     BiGammaParams,
     GammaParams,
@@ -249,15 +249,35 @@ class TestEvaluateColumns:
                 assert row_cols.tobytes() == alone_cols.tobytes()
 
 
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
 class TestScalarCalls:
     @pytest.mark.parametrize("fn", [pdf, cdf, ccdf])
     def test_float_equals_zero_d_array(self, fn):
-        # a Python or numpy float skips the array checks, with the same result
-        for model in random_models(np.random.default_rng(31), 2):
-            for x in (0.5, 1234.5, 3e5):
-                out = fn(model, x)
-                assert type(out) is float
-                assert out == fn(model, np.float64(x)) == fn(model, np.array(x))
+        # a Python float, a numpy float and a 0-d array all take the scalar
+        # path: each gives a float with the bits of a one-element array call,
+        # and no RuntimeWarning (the suite makes those errors)
+        zero_mass = [
+            bigamma_model(0.0, 2.0, 256.0, 0.6, 3.5, 2048.0),
+            bilognormal_model(0.4, 6.0, 0.5, 0.0, 9.0, 0.7),
+        ]
+        # with a power-of-two scale m, x = (n + 1) m puts x/m exactly on the
+        # incomplete gamma's regime split
+        split = gamma_model(0.7, 2.5, 1024.0)
+        for model in random_models(np.random.default_rng(31), 2) + zero_mass + [split]:
+            xs = [0.5, 1234.5, 3e5, 1e-300, 1e8] + ([] if fn is pdf else [0.0])
+            if model.family in ("gamma", "bigamma"):
+                for _, n, m in param_pack(model).reshape(-1, 3).tolist():
+                    x = (n + 1.0) * m
+                    xs += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+            for x in xs:
+                expected = fn(model, np.array([x]))[0]
+                for scalar in (x, np.float64(x), np.array(x)):
+                    out = fn(model, scalar)
+                    assert type(out) is float
+                    assert _bits(out) == _bits(expected), (model, x)
 
     @pytest.mark.parametrize("fn, bad", [
         (pdf, (0.0, -1.0, math.nan, math.inf)),
@@ -269,10 +289,29 @@ class TestScalarCalls:
         for x in bad:
             with pytest.raises(DomainError) as expected:
                 fn(model, np.array([x]))
-            for scalar in (x, np.float64(x)):
+            for scalar in (x, np.float64(x), np.array(x)):
                 with pytest.raises(DomainError) as raised:
                     fn(model, scalar)
                 assert str(raised.value) == str(expected.value)
+
+    def test_underflowing_denominator_warns_as_the_array_does(self):
+        # x sigma sqrt(2 pi) underflows to 0: a float gives numpy's NaN and
+        # RuntimeWarnings, as a one-element array does, not ZeroDivisionError
+        model = lognormal_model(1.0, 0.0, 0.1)
+        with pytest.warns(RuntimeWarning):
+            expected = pdf(model, np.array([5e-324]))[0]
+        with pytest.warns(RuntimeWarning):
+            out = pdf(model, 5e-324)
+        assert math.isnan(out) and math.isnan(expected)
+
+    @pytest.mark.parametrize("fn", [pdf, cdf, ccdf])
+    def test_huge_shape_raises_overflow_range_error(self, fn):
+        # log Gamma(n) leaves the float range above n ~ 2.56e305: the package's
+        # error, which the fitter rejects a proposal on, not math's OverflowError
+        model = gamma_model(1.0, 1e306, 1.0)
+        for x in (1.0, np.array([1.0, 2.0])):
+            with pytest.raises(OverflowRangeError):
+                fn(model, x)
 
 
 class TestSample:

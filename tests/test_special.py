@@ -10,6 +10,7 @@ from incomefit import models
 from incomefit.errors import ConvergenceError, DomainError, OverflowRangeError
 from incomefit.special import (
     GAMMA_OVERFLOW_THRESHOLD,
+    LOG_GAMMA_OVERFLOW_THRESHOLD,
     erf_fn,
     gamma_fn,
     log_gamma,
@@ -116,6 +117,13 @@ class TestLogGamma:
                 log_gamma(arg)
             assert str(info.value) == message
 
+    def test_overflow_raises_range_error(self):
+        assert math.isfinite(log_gamma(LOG_GAMMA_OVERFLOW_THRESHOLD))
+        beyond = math.nextafter(LOG_GAMMA_OVERFLOW_THRESHOLD, math.inf)
+        for a in (beyond, 1e306, np.array([2.0, 1e306])):
+            with pytest.raises(OverflowRangeError):
+                log_gamma(a)
+
     def test_tiny_shape_gamma_density_is_positive(self):
         value = models.pdf(models.gamma_model(1.0, 1e-17, 1000.0), 10.0)
         assert math.isfinite(value) and value > 0.0
@@ -193,6 +201,14 @@ class TestRegularizedGamma:
         model = models.gamma_model(1.0, 1e-300, 1.0)
         assert models.ccdf(model, 1e-300) >= 0.0
         assert models.cdf(model, 1e-300) <= 1.0
+
+    @pytest.mark.parametrize("fn", [reg_lower_incomplete_gamma, reg_upper_incomplete_gamma])
+    def test_huge_shape_raises_overflow_range_error(self, fn):
+        # its log-gamma overflows on the float path and the array path alike,
+        # at x = 0 too
+        for a, x in ((1e306, 1.0), (1e306, 0.0), ([2.0, 1e306], [1.0, 1.0])):
+            with pytest.raises(OverflowRangeError):
+                fn(a, x)
 
     def test_zero_fraction_start_is_a_convergence_error(self):
         # for a >= 2**53, x + 1 - a is 0 at x = a: the fraction starts at 1/0
