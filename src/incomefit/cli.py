@@ -8,6 +8,7 @@ turns them into a message on stderr and exit code 1, 2 or 4.
 """
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -356,10 +357,14 @@ _DISPATCH = {
 }
 
 
+# built on first use and kept: parsing leaves the parser unchanged (append
+# actions copy their default list), and building it costs about 1 ms a call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

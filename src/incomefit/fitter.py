@@ -2,7 +2,10 @@
 
 The engine is a damped Gauss-Newton (Levenberg-Marquardt) loop over an
 unconstrained parameter space: amplitudes, shapes, scales and sigmas live as
-their logarithms, log-normal locations stay linear. Every fit runs a jittered
+their logarithms, log-normal locations stay linear. Its damping follows
+Nielsen's gain-ratio rule, which lowers it by up to 3x after a step that
+cuts the sum of squares as the linear model predicts, and raises it by a
+doubling factor after each rejected step. Every fit runs a jittered
 multistart and keeps the best sum of squares; goodness of fit is the ordinary
 coefficient of determination on the curve ordinates.
 
@@ -38,8 +41,6 @@ __all__ = [
 ]
 
 _DAMPING_INIT = 1e-3
-_DAMPING_UP = 10.0
-_DAMPING_DOWN = 0.1
 _DAMPING_CAP = 1e15
 _DAMPING_FLOOR = 1e-15
 _JITTER_SIGMA = 0.3
@@ -167,10 +168,14 @@ def _nan_stack(shape, n):
     return np.full((k, n), np.nan), np.full((k, n, p), np.nan)
 
 
+def _dot(a, b):
+    """a . b of each pair of rows, as a batched matmul: bit for bit the 1-D
+    dot of each pair alone, which einsum is not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _sum_squares(r):
-    """r . r of each row of r, as a batched matmul: bit for bit the 1-D dot
-    of each row alone, which einsum is not."""
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return _dot(r, r)
 
 
 def _solve(a, b):
@@ -199,11 +204,17 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     (k, p) stack of starts, all run in lockstep.
 
     Each round makes one proposal for every running start, at that start's
-    own damping, and scores them all in one model call. A start keeps its
-    own damping, iteration count and stop, so it ends exactly as it would
-    running alone: when it converges, reaches max_iterations, or its damping
-    passes _DAMPING_CAP; it then leaves the stack. Returns one (theta, ss,
-    iterations, converged, f) tuple per start, None for a diverged start.
+    own damping, and scores them all in one model call. The damping follows
+    Nielsen's gain-ratio rule (Madsen, Nielsen and Tingleff, "Methods for
+    non-linear least squares problems", 2004, Alg. 3.16): an accepted step
+    scales it by max(1/3, 1 - (2 rho - 1)^3), where rho is the actual cut in
+    the sum of squares over the cut the linear model predicts, and resets
+    the factor nu to 2; a rejected one multiplies it by nu and doubles nu.
+    A start keeps its own damping, nu, iteration count and stop, so it ends
+    exactly as it would running alone: when it converges, reaches
+    max_iterations, or its damping passes _DAMPING_CAP; it then leaves the
+    stack. Returns one (theta, ss, iterations, converged, f) tuple per start,
+    None for a diverged start.
     """
     sqrt_w = np.sqrt(weights)
     row_weights = sqrt_w[:, None]
@@ -215,6 +226,7 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     # squares stops it at once, with no result
     ss = np.where(ok, _sum_squares(r), np.nan)
     lam = np.full(k, _DAMPING_INIT)
+    nu = np.full(k, 2.0)
     iterations = np.zeros(k, dtype=int)
     converged = ss == 0.0
     # a start begins a new iteration, with new normal equations, after an
@@ -223,7 +235,6 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     normal, grad, scale = np.empty((k, p, p)), np.empty((k, p)), np.empty((k, p))
     index = np.arange(k)  # the running starts' rows in starts
     results = [None] * k
-    eye = np.eye(p, dtype=bool)
     stop = np.isnan(ss) | converged
 
     while True:
@@ -233,9 +244,9 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
                     results[index[j]] = (theta[j], float(ss[j]), int(iterations[j]),
                                          bool(converged[j]), f[j])
             keep = ~stop
-            (theta, f, cols, r, ss, lam, iterations, converged, begins, normal, grad, scale,
-             index) = (a[keep] for a in (theta, f, cols, r, ss, lam, iterations, converged,
-                                         begins, normal, grad, scale, index))
+            (theta, f, cols, r, ss, lam, nu, iterations, converged, begins, normal, grad,
+             scale, index) = (a[keep] for a in (theta, f, cols, r, ss, lam, nu, iterations,
+                                                converged, begins, normal, grad, scale, index))
             if not index.size:
                 return results
 
@@ -250,8 +261,11 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
             diag = normal.diagonal(axis1=1, axis2=2)
             floor = np.maximum(diag.max(axis=1, keepdims=True), 0.0) * 1e-14 + 1e-300
             scale = np.where(diag < floor, floor, diag)
-        damping = np.where(eye, (lam[:, None] * scale)[:, None, :], 0.0)
-        delta = _solve(normal + damping, grad)
+        # the Marquardt term lam D, added to the diagonal of a copy
+        lam_scale = lam[:, None] * scale
+        damped = normal.copy()
+        damped.reshape(len(damped), p * p)[:, :: p + 1] += lam_scale
+        delta = _solve(damped, grad)
         # a step that is not finite is rejected unscored, as its NaN trial is
         delta[~np.isfinite(delta).all(axis=1)] = np.nan
 
@@ -261,28 +275,38 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
         ss_trial = _sum_squares(r_trial)
         begins = ok & np.isfinite(ss_trial) & (ss_trial <= ss)
         if not begins.any():
-            lam = lam * _DAMPING_UP
+            lam = lam * nu
+            nu = 2.0 * nu
             stop = lam > _DAMPING_CAP
             continue
 
         assert np.all(ss_trial[begins] <= ss[begins]), "accepted LM step increased SS"
         step_norm = np.sqrt(_sum_squares(delta))
         theta_norm = np.sqrt(_sum_squares(trial))
+        cut = ss - ss_trial
         converged = begins & (
             (step_norm <= _STEP_TOL * (theta_norm + _STEP_TOL))
-            | (ss - ss_trial <= _RESIDUAL_TOL * ss)
+            | (cut <= _RESIDUAL_TOL * ss)
             | (ss_trial == 0.0)
         )
-        lam = np.where(begins, np.maximum(lam * _DAMPING_DOWN, _DAMPING_FLOOR), lam * _DAMPING_UP)
-        stop = converged | (begins & (iterations >= max_iterations)) | (lam > _DAMPING_CAP)
+        # the linear model's predicted cut delta . (J^T r + lam D delta); one
+        # that is not finite and positive counts as rho = 1
+        predicted = _dot(delta, grad + lam_scale * delta)
+        sound = np.isfinite(predicted) & (predicted > 0.0)
+        rho = np.divide(cut, predicted, out=np.ones(len(cut)), where=sound)
+        lam_cut = np.maximum(lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                             _DAMPING_FLOOR)
         if begins.all():
+            lam, nu = lam_cut, np.full(len(lam), 2.0)
             theta, f, cols, r, ss = trial, f_trial, cols_trial, r_trial, ss_trial
         else:
+            lam, nu = np.where(begins, lam_cut, lam * nu), np.where(begins, 2.0, 2.0 * nu)
             theta = np.where(begins[:, None], trial, theta)
             f = np.where(begins[:, None], f_trial, f)
             cols = np.where(begins[:, None, None], cols_trial, cols)
             r = np.where(begins[:, None], r_trial, r)
             ss = np.where(begins, ss_trial, ss)
+        stop = converged | (begins & (iterations >= max_iterations)) | (lam > _DAMPING_CAP)
 
 
 def _curve_weights(curve, weighting):

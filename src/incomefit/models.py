@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .special import (
+    digamma,
     log_gamma,
     reg_lower_incomplete_gamma,
     reg_upper_incomplete_gamma,
@@ -58,7 +59,8 @@ __all__ = [
 FAMILIES = ("gamma", "lognormal", "bigamma", "bilognormal")
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-# forward-difference step of a gamma shape column in ln n, relative to max(|ln n|, 1)
+# forward-difference step of a gamma ccdf's shape column in ln n, relative to
+# max(|ln n|, 1)
 _SHAPE_STEP = 1e-6
 
 
@@ -234,8 +236,7 @@ def _gamma_component(amplitude, shape, scale, x, which):
         + (shape - 1.0) * np.log(x)
         - x / scale
     )
-    with np.errstate(under="ignore"):
-        return np.exp(log_f)
+    return np.exp(log_f)
 
 
 def _lognormal_component(amplitude, mu, sigma, x, which):
@@ -265,26 +266,30 @@ def _normal_mass(amplitude, mu, sigma, x, which):
 
 def _gamma_columns(amplitude, shape, scale, x, which, f):
     """Columns d/d ln A, d/d ln n, d/d ln m of a gamma component whose
-    ordinates are f; the shape column is a forward difference in ln n."""
+    ordinates are f. The pdf's shape column is closed form; the ccdf's is a
+    forward difference in ln n, one more component evaluation."""
     if isinstance(amplitude, float) and amplitude == 0.0:
         zero = np.zeros_like(x)
         return f, zero, zero
+    if which == "pdf":
+        # n f (ln x - ln m - psi(n)), finite and 0 where f underflowed to 0;
+        # f (x/m - n), where x/m may be inf once f underflowed to 0
+        log_offset = _each(lambda n, m: math.log(m) + digamma(n), shape, scale)
+        d_shape = shape * f * (np.log(x) - log_offset)
+        d_scale = np.where(f > 0.0, f * (x / scale - shape), 0.0)
+        return f, d_shape, d_scale
     step = _each(lambda n: _SHAPE_STEP * max(abs(math.log(n)), 1.0), shape)
     stepped_shape = _each(lambda n, h: math.exp(math.log(n) + h), shape, step)
     stepped = _gamma_component(amplitude, stepped_shape, scale, x, which)
     d_shape = (stepped - f) / step
-    if which == "pdf":
-        # f (x/m - n); where f underflowed to 0, x/m may be inf
-        d_scale = np.where(f > 0.0, f * (x / scale - shape), 0.0)
-    else:
-        # x times the density, A t^n e^-t / Gamma(n) at t = x/m: 0 at x = 0
-        t = x / scale
-        with np.errstate(divide="ignore", under="ignore"):
-            d_scale = np.exp(
-                _each(lambda a, n: math.log(a) - log_gamma(n), amplitude, shape)
-                + shape * np.log(t)
-                - t
-            )
+    # x times the density, A t^n e^-t / Gamma(n) at t = x/m: 0 at x = 0
+    t = x / scale
+    with np.errstate(divide="ignore", under="ignore"):
+        d_scale = np.exp(
+            _each(lambda a, n: math.log(a) - log_gamma(n), amplitude, shape)
+            + shape * np.log(t)
+            - t
+        )
     return f, d_shape, d_scale
 
 
@@ -344,8 +349,9 @@ def evaluate_columns(family, vec, x, which):
     The derivatives form an (x.size, len(vec)) array, one column per slot of
     vec, taken with respect to the logarithm of every amplitude, shape, scale
     and sigma (d/d ln p = p d/dp, so a zero-amplitude component gives zero
-    columns) and to mu itself. Every column is exact except a gamma shape's,
-    a forward difference in ln n. Nothing is validated, as in evaluate.
+    columns) and to mu itself. Every column is closed form except the shape
+    column of a gamma "ccdf", a forward difference in ln n, which costs one
+    more component evaluation. Nothing is validated, as in evaluate.
 
     vec may also be a (k, p) stack of parameter vectors, one per row; the
     result is then (k, x.size) ordinates and (k, x.size, p) columns, and

@@ -1,16 +1,20 @@
-"""Special-function kernel: gamma, regularized incomplete gamma, erf, normal CDF.
+"""Special-function kernel: gamma, digamma, regularized incomplete gamma, erf,
+normal CDF.
 
 Everything the model CDFs/CCDFs need, with double-precision accuracy.
 Gamma, log-gamma, erf and the normal CDF apply the math module's gamma,
-lgamma, erf and erfc element by element. The regularized incomplete gamma is
-evaluated here: its series and continued fraction run element by element on
-Python floats, each element stopping at its own convergence (relative
-tolerance 1e-14) or raising ConvergenceError after 512 terms, while the
-prefactor exp(-x + a log x - log Gamma(a)) is computed with numpy's log and
-exp, on the scalar for a pair of floats. numpy's exp differs from math.exp
-in the last bit on a few percent of arguments, so math.exp there would move
-the last bits of P and Q, and with them the fitted gamma parameters; numpy's
-keeps both fixed, and a float call gives the bits of a one-element array.
+lgamma, erf and erfc element by element. The digamma function, which the
+math module lacks, shifts its argument up to a >= 10 by the recurrence
+psi(a) = psi(a + 1) - 1/a and sums the asymptotic series there. The
+regularized incomplete gamma is evaluated here: its series and continued
+fraction run element by element on Python floats, each element stopping at
+its own convergence (relative tolerance 1e-14) or raising ConvergenceError
+after 512 terms, while the prefactor exp(-x + a log x - log Gamma(a)) is
+computed with numpy's log and exp, on the scalar for a pair of floats.
+numpy's exp differs from math.exp in the last bit on a few percent of
+arguments, so math.exp there would move the last bits of P and Q, and with
+them the fitted gamma parameters; numpy's keeps both fixed, and a float
+call gives the bits of a one-element array.
 All functions accept scalars or numpy arrays and are pure and reentrant; a
 scalar or 0-d input gives a float, and a float builds no array.
 """
@@ -25,6 +29,7 @@ from .errors import ConvergenceError, DomainError, OverflowRangeError
 __all__ = [
     "gamma_fn",
     "log_gamma",
+    "digamma",
     "reg_lower_incomplete_gamma",
     "reg_upper_incomplete_gamma",
     "erf_fn",
@@ -95,6 +100,24 @@ def log_gamma(a):
     """Natural log of the gamma function for a > 0; OverflowRangeError
     once it leaves the 64-bit float range (a above ~2.56e305)."""
     return _map_math(_lgamma, a, "a", require="positive")
+
+
+def _digamma(a):
+    shift = 0.0
+    while a < 10.0:
+        shift += 1.0 / a
+        a += 1.0
+    # psi(a) ~ ln a - 1/(2a) - sum_k B_2k / (2k a^2k), k = 1..7, in Horner
+    # form; at a >= 10 the first omitted term is below 5e-17
+    s = 1.0 / (a * a)
+    tail = s * (1 / 12 - s * (1 / 120 - s * (1 / 252 - s * (
+        1 / 240 - s * (1 / 132 - s * (691 / 32760 - s / 12))))))
+    return math.log(a) - 0.5 / a - tail - shift
+
+
+def digamma(a):
+    """Digamma function psi(a) = d ln Gamma(a) / da for a > 0."""
+    return _map_math(_digamma, a, "a", require="positive")
 
 
 def gamma_fn(a):

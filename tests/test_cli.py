@@ -409,6 +409,21 @@ class TestUsage:
     def test_unknown_subcommand_exit_one(self):
         assert main(["transmogrify"]) == 1
 
+    def test_repeated_calls_share_no_state(self, tmp_path):
+        # main keeps one parser per process: a table's appended inputs must
+        # not carry over to the next call, nor a usage error break the next
+        out = tmp_path / "t.txt"
+        for path in (BIMODAL, WORLD3):
+            assert main(["table", "--input", f"y={path}", "--families", "gamma",
+                         "--out", str(out)]) == 0
+            assert str(path) in out.read_text()
+            assert len((tmp_path / "t.txt.csv").read_text().splitlines()) == 2
+        assert main(["table", "--input", f"y={BIMODAL}", "--families", "pareto",
+                     "--out", str(out)]) == 1
+        assert main(["table", "--input", f"y={WORLD3}", "--families", "gamma",
+                     "--out", str(out)]) == 0
+        assert len((tmp_path / "t.txt.csv").read_text().splitlines()) == 2
+
     def test_fit_flags_match_fit_config(self):
         # _build_config reads one flag per FitConfig field, in field order
         not_config = {"command", "input", "family", "log_density", "out", "families",

@@ -11,6 +11,7 @@ from incomefit.errors import ConvergenceError, DomainError, OverflowRangeError
 from incomefit.special import (
     GAMMA_OVERFLOW_THRESHOLD,
     LOG_GAMMA_OVERFLOW_THRESHOLD,
+    digamma,
     erf_fn,
     gamma_fn,
     log_gamma,
@@ -127,6 +128,32 @@ class TestLogGamma:
     def test_tiny_shape_gamma_density_is_positive(self):
         value = models.pdf(models.gamma_model(1.0, 1e-17, 1000.0), 10.0)
         assert math.isfinite(value) and value > 0.0
+
+
+class TestDigamma:
+    def test_matches_scipy(self):
+        # the recurrence's switch to the asymptotic series at a = 10, the
+        # root near 1.46 and a log-spaced sweep of the domain
+        a = np.concatenate((
+            np.geomspace(1e-6, 1e6, 20001),
+            np.linspace(0.5, 12.0, 2001),
+            [1.4616321449683622, math.nextafter(10.0, 0.0), 10.0],
+        ))
+        ours, ref = digamma(a), sp_special.digamma(a)
+        small = np.abs(ref) < 20.0
+        assert np.abs(ours - ref)[small].max() <= 1e-13
+        assert (np.abs(ours - ref) / np.abs(ref))[~small].max() <= 1e-14
+
+    def test_float_path_matches_array_path(self):
+        for a in (1e-6, 0.7, 2.2, 9.999, 10.0, 1e6):
+            value = digamma(a)
+            assert type(value) is float and value == digamma(np.array([a]))[0]
+        assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-15)
+
+    def test_domain_error(self):
+        for a in (0.0, -1.0, math.nan, math.inf, []):
+            with pytest.raises(DomainError):
+                digamma(a)
 
 
 class TestRegularizedGamma:
