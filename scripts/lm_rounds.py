@@ -15,12 +15,16 @@ family and target, summed over the three fixtures:
 - iterations: accepted iterations, the iteration counts the LM runs return
   for their starts (a diverged start returns none);
 - evals: every parameter vector `_predict` evaluates, the starts' first
-  evaluations included; each is one set of ordinates and columns.
+  evaluations included; each is one set of ordinates and columns;
+- us/round: process CPU time spent in `fitter._lm_run`, over rounds, in
+  microseconds; the best of REPEATS passes over all 24 fits.
 
-The counts do not depend on the machine, so two checkouts compare directly.
+The counts do not depend on the machine, so two checkouts compare directly;
+us/round does, so compare it between checkouts on one host only.
 """
 
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -33,6 +37,7 @@ from incomefit.empirical import load_histogram, to_ccdf_curve, to_pdf_curve  # n
 FIXTURES = ("bimodal", "chinaindia", "world3")
 TARGETS = ("pdf", "ccdf")
 COUNTS = ("rounds", "proposals", "iterations", "evals")
+REPEATS = 5
 
 
 def counting(counts):
@@ -46,7 +51,9 @@ def counting(counts):
 
     def counted_lm_run(family, starts, *args):
         calls, evals = counts["calls"], counts["evals"]
+        start = time.process_time()
         results = lm_run(family, starts, *args)
+        counts["cpu_s"] += time.process_time() - start
         counts["rounds"] += counts["calls"] - calls - 1
         counts["proposals"] += counts["evals"] - evals - len(starts)
         counts["iterations"] += sum(out[2] for out in results if out is not None)
@@ -58,23 +65,40 @@ def counting(counts):
 def main():
     counts = Counter()
     counting(counts)
-    rows = []
+    cells = []
     for family in models.FAMILIES:
         for target in TARGETS:
-            before = counts.copy()
-            for fixture in FIXTURES:
-                hist = load_histogram(ROOT / "fixtures" / f"synthetic_{fixture}.csv")
-                curve = to_pdf_curve(hist) if target == "pdf" else to_ccdf_curve(hist)
+            hists = [load_histogram(ROOT / "fixtures" / f"synthetic_{fixture}.csv")
+                     for fixture in FIXTURES]
+            to_curve = to_pdf_curve if target == "pdf" else to_ccdf_curve
+            cells.append((family, target, [to_curve(hist) for hist in hists]))
+    # each repeat runs every cell once, so the first one also warms up
+    runs = [[] for _ in cells]
+    for _ in range(REPEATS):
+        for (family, target, curves), cell_runs in zip(cells, runs):
+            counts.clear()
+            for curve in curves:
                 fitter.fit(curve, family, fitter.FitConfig(target=target))
-            rows.append((family, target, [counts[c] - before[c] for c in COUNTS]))
+            cell_runs.append(counts.copy())
+    rows = []
+    for (family, target, _), cell_runs in zip(cells, runs):
+        values = [cell_runs[0][c] for c in COUNTS]
+        if any([run[c] for c in COUNTS] != values for run in cell_runs):
+            raise SystemExit(f"{family} {target}: the counts differ between repeats")
+        rows.append((family, target, values, min(run["cpu_s"] for run in cell_runs)))
 
     print(f"incomefit LM work of the {len(rows) * len(FIXTURES)} fixture fits "
-          f"(default config), summed over {len(FIXTURES)} fixtures")
-    print(f"  {'family':12s} {'target':6s} " + " ".join(f"{c:>10s}" for c in COUNTS))
-    for family, target, values in rows:
-        print(f"  {family:12s} {target:6s} " + " ".join(f"{v:10d}" for v in values))
-    totals = [sum(values[i] for _, _, values in rows) for i in range(len(COUNTS))]
-    print(f"  {'total':12s} {'':6s} " + " ".join(f"{v:10d}" for v in totals))
+          f"(default config), summed over {len(FIXTURES)} fixtures; "
+          f"us/round best of {REPEATS}")
+    print(f"  {'family':12s} {'target':6s} " + " ".join(f"{c:>10s}" for c in COUNTS)
+          + f" {'us/round':>10s}")
+    for family, target, values, cpu_s in rows:
+        print(f"  {family:12s} {target:6s} " + " ".join(f"{v:10d}" for v in values)
+              + f" {cpu_s / values[0] * 1e6:10.1f}")
+    totals = [sum(values[i] for _, _, values, _ in rows) for i in range(len(COUNTS))]
+    total_s = sum(cpu_s for *_, cpu_s in rows)
+    print(f"  {'total':12s} {'':6s} " + " ".join(f"{v:10d}" for v in totals)
+          + f" {total_s / totals[0] * 1e6:10.1f}")
 
 
 if __name__ == "__main__":

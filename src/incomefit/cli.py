@@ -148,8 +148,7 @@ def _format_curve(x, y, manifest, kind):
     lines = [f"# {line}" for line in manifest]
     lines.append(f"# kind: {kind}")
     lines.append("x,y")
-    for xi, yi in zip(x, y):
-        lines.append(f"{float(xi)!r},{float(yi)!r}")
+    lines += [f"{xi!r},{yi!r}" for xi, yi in zip(x.tolist(), y.tolist())]
     return "\n".join(lines) + "\n"
 
 

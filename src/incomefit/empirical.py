@@ -246,8 +246,8 @@ def save_histogram(hist, target, extra_comments=()):
     if hist.currency_note:
         target.write(f"# currency: {hist.currency_note}\n")
     target.write("bin_low,bin_high,mass\n")
-    for lo, hi, m in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.mass):
-        target.write(f"{float(lo)!r},{float(hi)!r},{float(m)!r}\n")
+    rows = zip(hist.bin_edges[:-1].tolist(), hist.bin_edges[1:].tolist(), hist.mass.tolist())
+    target.write("".join(f"{lo!r},{hi!r},{m!r}\n" for lo, hi, m in rows))
 
 
 def dumps_histogram(hist, extra_comments=()):

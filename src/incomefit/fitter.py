@@ -13,7 +13,10 @@ The starts of a multistart run in lockstep as one batch: each round scores
 one proposal of every running start in a single model call. Each start
 keeps its own damping, iteration count and stop, and every batched step is
 bit for bit the one-start computation, so the results are identical to
-running the starts one by one.
+running the starts one by one. The arrays are numpy stacks, one row per
+running start; each start's scalars (sum of squares, damping, iteration
+count) are Python floats and ints. Only the gain ratio's (2 rho - 1)^3 stays
+in numpy, whose power may differ from Python's in the last bit.
 """
 
 import math
@@ -56,11 +59,10 @@ _POSITIVE_SLOTS = {
     "bigamma": np.array((True, True, True, True, True, True)),
     "bilognormal": np.array((True, False, True, True, False, True)),
 }
-# the shapes, scales and sigmas, which must stay > 0; an amplitude (slot 0
-# of a component) may underflow to 0, giving a zero-mass component
-_NONZERO_SLOTS = {
-    family: pos & (np.arange(pos.size) % 3 > 0) for family, pos in _POSITIVE_SLOTS.items()
-}
+# exclusive lower bounds: shapes, scales and sigmas must stay > 0, while an
+# amplitude (slot 0 of a component) may underflow to 0, a zero-mass component
+_LOWER_BOUNDS = {family: np.where(pos & (np.arange(pos.size) % 3 > 0), 0.0, -np.inf)
+                 for family, pos in _POSITIVE_SLOTS.items()}
 
 
 @dataclass(frozen=True)
@@ -144,38 +146,35 @@ def _predict(family, theta, x, target):
     the failing rows are rejected.
     """
     with np.errstate(all="ignore"):
-        vec = _from_unconstrained(family, theta)
-        ok = np.isfinite(vec).all(axis=1) & (vec[:, _NONZERO_SLOTS[family]] > 0.0).all(axis=1)
+        vec = np.where(_POSITIVE_SLOTS[family], np.exp(theta), theta)
+        # finite, and > 0 in the shape, scale and sigma slots, in one pass
+        ok = ((vec > _LOWER_BOUNDS[family]) & (vec < np.inf)).all(axis=1)
         try:
             if ok.all():
                 f, cols = models.evaluate_columns(family, vec, x, target)
             else:
-                f, cols = _nan_stack(theta.shape, x.size)
+                f, cols = _nan_stack(*theta.shape, x.size)
                 if ok.any():
                     f[ok], cols[ok] = models.evaluate_columns(family, vec[ok], x, target)
         except IncomeFitError:
-            f, cols = _nan_stack(theta.shape, x.size)
+            f, cols = _nan_stack(*theta.shape, x.size)
             for i in np.flatnonzero(ok):
                 try:
                     f[i], cols[i] = models.evaluate_columns(family, vec[i], x, target)
                 except IncomeFitError:
                     pass
-    return f, cols, np.isfinite(f).all(axis=1) & np.isfinite(cols).all(axis=(1, 2))
+    cols_ok = np.isfinite(cols.reshape(len(cols), -1)).all(axis=1)
+    return f, cols, np.isfinite(f).all(axis=1) & cols_ok
 
 
-def _nan_stack(shape, n):
-    k, p = shape
+def _nan_stack(k, p, n):
     return np.full((k, n), np.nan), np.full((k, n, p), np.nan)
 
 
-def _dot(a, b):
-    """a . b of each pair of rows, as a batched matmul: bit for bit the 1-D
-    dot of each pair alone, which einsum is not."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _sum_squares(r):
-    return _dot(r, r)
+    """r . r of each row: np.vecdot runs numpy's 1-D dot on each row, so bit
+    for bit the dot of each row alone, which einsum is not."""
+    return np.vecdot(r, r)
 
 
 def _solve(a, b):
@@ -215,98 +214,99 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     max_iterations, or its damping passes _DAMPING_CAP; it then leaves the
     stack. Returns one (theta, ss, iterations, converged, f) tuple per start,
     None for a diverged start.
+
+    Only the arrays are numpy; each start's ss, lam, nu, iterations and row
+    in starts are Python scalars, tested start by start, and only the cube
+    of 2 rho - 1 is a numpy power, for bit identity. Accepted rows are copied
+    in place; a stopped start's result views arrays no later round writes.
     """
     sqrt_w = np.sqrt(weights)
-    row_weights = sqrt_w[:, None]
     theta = np.array(starts, dtype=float)
     k, p = theta.shape
     f, cols, ok = _predict(family, theta, x, target)
     r = sqrt_w * (y - f)
     # a start whose first evaluation is rejected has diverged: its NaN sum of
     # squares stops it at once, with no result
-    ss = np.where(ok, _sum_squares(r), np.nan)
-    lam = np.full(k, _DAMPING_INIT)
-    nu = np.full(k, 2.0)
-    iterations = np.zeros(k, dtype=int)
-    converged = ss == 0.0
+    ss = [s if good else math.nan for s, good in zip(_sum_squares(r).tolist(), ok.tolist())]
+    lam, nu, iterations = [_DAMPING_INIT] * k, [2.0] * k, [0] * k
+    converged = [s == 0.0 for s in ss]
+    stop = [c or math.isnan(s) for c, s in zip(converged, ss)]
     # a start begins a new iteration, with new normal equations, after an
     # accepted proposal; after a rejected one it retries at a higher damping
-    begins = np.ones(k, dtype=bool)
+    begins = [True] * k
     normal, grad, scale = np.empty((k, p, p)), np.empty((k, p)), np.empty((k, p))
-    index = np.arange(k)  # the running starts' rows in starts
+    index = list(range(k))  # the running starts' rows in starts
     results = [None] * k
-    stop = np.isnan(ss) | converged
 
     while True:
-        if stop.any():
-            for j in np.flatnonzero(stop):
-                if math.isfinite(ss[j]):
-                    results[index[j]] = (theta[j], float(ss[j]), int(iterations[j]),
-                                         bool(converged[j]), f[j])
-            keep = ~stop
-            (theta, f, cols, r, ss, lam, nu, iterations, converged, begins, normal, grad,
-             scale, index) = (a[keep] for a in (theta, f, cols, r, ss, lam, nu, iterations,
-                                                converged, begins, normal, grad, scale, index))
-            if not index.size:
+        if any(stop):
+            for j, halt in enumerate(stop):
+                if halt and math.isfinite(ss[j]):
+                    results[index[j]] = (theta[j], ss[j], iterations[j], converged[j], f[j])
+            keep = [j for j, halt in enumerate(stop) if not halt]
+            if not keep:
                 return results
+            theta, f, cols, r, normal, grad, scale = (
+                a[keep] for a in (theta, f, cols, r, normal, grad, scale))
+            ss, lam, nu, iterations, begins, index = (
+                [a[j] for j in keep] for a in (ss, lam, nu, iterations, begins, index))
 
-        if begins.any():
+        if any(begins):
             # every start's normal equations at its current point: a
             # retrying start's come out the same again, bit for bit
-            iterations += begins
-            jac = row_weights * cols
+            iterations = [i + b for i, b in zip(iterations, begins)]
+            jac = sqrt_w[:, None] * cols
             jac_t = jac.transpose(0, 2, 1)
             normal = jac_t @ jac
             grad = (jac_t @ r[:, :, None])[:, :, 0]
             diag = normal.diagonal(axis1=1, axis2=2)
             floor = np.maximum(diag.max(axis=1, keepdims=True), 0.0) * 1e-14 + 1e-300
-            scale = np.where(diag < floor, floor, diag)
+            scale = np.maximum(diag, floor)
         # the Marquardt term lam D, added to the diagonal of a copy
-        lam_scale = lam[:, None] * scale
+        lam_scale = np.array(lam)[:, None] * scale
         damped = normal.copy()
         damped.reshape(len(damped), p * p)[:, :: p + 1] += lam_scale
         delta = _solve(damped, grad)
         # a step that is not finite is rejected unscored, as its NaN trial is
-        delta[~np.isfinite(delta).all(axis=1)] = np.nan
+        if not np.isfinite(delta).all():
+            delta[~np.isfinite(delta).all(axis=1)] = np.nan
 
         trial = theta + delta
         f_trial, cols_trial, ok = _predict(family, trial, x, target)
         r_trial = sqrt_w * (y - f_trial)
-        ss_trial = _sum_squares(r_trial)
-        begins = ok & np.isfinite(ss_trial) & (ss_trial <= ss)
-        if not begins.any():
-            lam = lam * nu
-            nu = 2.0 * nu
-            stop = lam > _DAMPING_CAP
-            continue
-
-        assert np.all(ss_trial[begins] <= ss[begins]), "accepted LM step increased SS"
-        step_norm = np.sqrt(_sum_squares(delta))
-        theta_norm = np.sqrt(_sum_squares(trial))
-        cut = ss - ss_trial
-        converged = begins & (
-            (step_norm <= _STEP_TOL * (theta_norm + _STEP_TOL))
-            | (cut <= _RESIDUAL_TOL * ss)
-            | (ss_trial == 0.0)
-        )
-        # the linear model's predicted cut delta . (J^T r + lam D delta); one
-        # that is not finite and positive counts as rho = 1
-        predicted = _dot(delta, grad + lam_scale * delta)
-        sound = np.isfinite(predicted) & (predicted > 0.0)
-        rho = np.divide(cut, predicted, out=np.ones(len(cut)), where=sound)
-        lam_cut = np.maximum(lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
-                             _DAMPING_FLOOR)
-        if begins.all():
-            lam, nu = lam_cut, np.full(len(lam), 2.0)
-            theta, f, cols, r, ss = trial, f_trial, cols_trial, r_trial, ss_trial
-        else:
-            lam, nu = np.where(begins, lam_cut, lam * nu), np.where(begins, 2.0, 2.0 * nu)
-            theta = np.where(begins[:, None], trial, theta)
-            f = np.where(begins[:, None], f_trial, f)
-            cols = np.where(begins[:, None, None], cols_trial, cols)
-            r = np.where(begins[:, None], r_trial, r)
-            ss = np.where(begins, ss_trial, ss)
-        stop = converged | (begins & (iterations >= max_iterations)) | (lam > _DAMPING_CAP)
+        ss_trial = _sum_squares(r_trial).tolist()
+        begins = [good and math.isfinite(t) and t <= s
+                  for good, t, s in zip(ok.tolist(), ss_trial, ss)]
+        if any(begins):
+            step_ss, trial_ss = _sum_squares(delta).tolist(), _sum_squares(trial).tolist()
+            # 2 rho - 1 for the ratio rho of the actual cut to the linear
+            # model's cut delta . (J^T r + lam D delta); a predicted cut that
+            # is not finite and positive counts as rho = 1
+            predicted = np.vecdot(delta, grad + lam_scale * delta).tolist()
+            twos = [2.0 * ((s - t) / d) - 1.0 if b and 0.0 < d < math.inf else 1.0
+                    for b, s, t, d in zip(begins, ss, ss_trial, predicted)]
+            cubes = (np.array(twos) ** 3).tolist()
+        stop, converged = [], [False] * len(begins)
+        for j, accepted in enumerate(begins):
+            if accepted:
+                s, t = ss[j], ss_trial[j]
+                assert t <= s, "accepted LM step increased SS"
+                converged[j] = (
+                    math.sqrt(step_ss[j]) <= _STEP_TOL * (math.sqrt(trial_ss[j]) + _STEP_TOL)
+                    or s - t <= _RESIDUAL_TOL * s or t == 0.0)
+                lam[j] = max(lam[j] * max(1.0 / 3.0, 1.0 - cubes[j]), _DAMPING_FLOOR)
+                nu[j], ss[j] = 2.0, t
+            else:
+                lam[j], nu[j] = lam[j] * nu[j], 2.0 * nu[j]
+            stop.append(converged[j] or (accepted and iterations[j] >= max_iterations)
+                        or lam[j] > _DAMPING_CAP)
+        if all(begins):
+            theta, f, cols, r = trial, f_trial, cols_trial, r_trial
+        elif any(begins):
+            rows = np.array(begins)[:, None]
+            for a, b in ((theta, trial), (f, f_trial), (r, r_trial)):
+                np.copyto(a, b, where=rows)
+            np.copyto(cols, cols_trial, where=rows[:, :, None])
 
 
 def _curve_weights(curve, weighting):

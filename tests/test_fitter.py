@@ -597,6 +597,50 @@ class TestLockstep:
         assert packed.tobytes() == _from_unconstrained(family, best[0]).tobytes()
         assert (result.ss_res, result.iterations, result.converged) == best[1:4]
 
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_relative_weights_stack_equals_start_by_start(self, family, monkeypatch):
+        # as above, with fit's weights 1/y^2 on a ccdf curve
+        curve = to_ccdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
+        config = FitConfig(target="ccdf", weighting="relative")
+        calls = []
+
+        def spy(*args):
+            out = _lm_run(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(fitter, "_lm_run", spy)
+        result = fit(curve, family, config)
+        ((args, stacked),) = [(a, out) for a, out in calls if a[0] == family]
+        assert args[4].tobytes() == (1.0 / curve.y**2).tobytes()
+        alone = [_lm_run(args[0], start[None], *args[2:])[0] for start in args[1]]
+        assert all(_same_run(a, b) for a, b in zip(alone, stacked))
+        best = min((run for run in alone if run is not None),
+                   key=lambda run: (run[1], run[2], tuple(_from_unconstrained(family, run[0]))))
+        packed = models.param_pack(result.model)
+        assert packed.tobytes() == _from_unconstrained(family, best[0]).tobytes()
+        assert (result.ss_res, result.iterations, result.converged) == best[1:4]
+
+    def test_later_rounds_leave_early_results_and_starts_alone(self):
+        # the core updates its arrays in place; a start that stops early must
+        # keep the result it stopped with (byte-equal to a copy of its lone
+        # run, taken before the stacked run starts), and the caller's starts
+        # must come back as given
+        curve = to_pdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
+        theta0 = _to_unconstrained("bigamma", models.param_pack(initialize(curve, "bigamma")))
+        starts = theta0 + 0.3 * np.random.default_rng(11).standard_normal((6, theta0.size))
+        given = starts.copy()
+        run_args = (curve.x, curve.y, np.ones_like(curve.y), "pdf", 500)
+        copies = []
+        for start in starts:
+            (run,) = _lm_run("bigamma", start[None], *run_args)
+            copies.append((run[0].copy(), *run[1:4], run[4].copy()))
+        # the starts leave the stack after different numbers of iterations
+        assert len({run[2] for run in copies}) >= 3
+        stacked = _lm_run("bigamma", starts, *run_args)
+        assert starts.tobytes() == given.tobytes()
+        assert all(_same_run(run, copy) for run, copy in zip(stacked, copies))
+
     @pytest.mark.parametrize("mode", ["raise", "nan"])
     def test_failing_start_leaves_the_others_alone(self, mode, monkeypatch):
         # the log-gamma kernel fails (raises, or returns NaN) on every shape
