@@ -59,6 +59,7 @@ __all__ = [
 FAMILIES = ("gamma", "lognormal", "bigamma", "bilognormal")
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_INF = math.inf
 # forward-difference step of a gamma ccdf's shape column in ln n, relative to
 # max(|ln n|, 1)
 _SHAPE_STEP = 1e-6
@@ -68,7 +69,7 @@ def _validate(params, positive):
     """Every field finite, the amplitude >= 0 and the named fields > 0."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if not np.isfinite(value):
+        if not -_INF < value < _INF:
             raise PreconditionError(f"{f.name} must be finite, got {value}")
     if params.amplitude < 0.0:
         raise PreconditionError(f"amplitude must be >= 0, got {params.amplitude}")
@@ -146,7 +147,11 @@ _PARAM_NAMES = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A family tag plus the matching parameter record."""
+    """A family tag plus the matching parameter record.
+
+    Building one also derives the canonical parameter vector, as a tuple of
+    floats, once; param_pack and every scalar pdf/cdf/ccdf call read it.
+    """
 
     family: str
     params: object
@@ -162,6 +167,10 @@ class ModelSpec:
                 f"family {self.family!r} requires {expected.__name__}, "
                 f"got {type(self.params).__name__}"
             )
+        p = self.params
+        vector = (_slots(p.component1) + _slots(p.component2)
+                  if is_bimodal(self.family) else _slots(p))
+        object.__setattr__(self, "_vector", vector)
 
 
 def gamma_model(amplitude, shape, scale):
@@ -215,7 +224,7 @@ def _each(fn, *params):
     of a stacked call stay in math, as those of a single one are."""
     if isinstance(params[0], float):
         return fn(*params)
-    rows = zip(*(p[:, 0].tolist() for p in params))
+    rows = zip(*[p.ravel().tolist() for p in params])
     return np.array([fn(*row) for row in rows])[:, None]
 
 
@@ -249,19 +258,18 @@ def _lognormal_component(amplitude, mu, sigma, x, which):
         return np.divide(amplitude, x * sigma * _SQRT_TWO_PI) * np.exp(-0.5 * z * z)
     at_zero = 0.0 if which == "cdf" else amplitude
     if isinstance(x, float):
-        return _normal_mass(amplitude, mu, sigma, x, which) if x > 0.0 else at_zero
+        if not x > 0.0:
+            return at_zero
+        # z in Python floats: numpy's log, then IEEE arithmetic as the array's
+        z = (float(np.log(x)) - mu) / sigma
+        return amplitude * std_normal_cdf(z if which == "cdf" else -z)
     # x * amplitude has the (k, n) shape of a stacked call
     out = np.full_like(x * amplitude, at_zero)
     pos = x > 0.0
     if pos.any():
-        out[..., pos] = _normal_mass(amplitude, mu, sigma, x[pos], which)
+        z = (np.log(x[pos]) - mu) / sigma
+        out[..., pos] = amplitude * std_normal_cdf(z if which == "cdf" else -z)
     return out
-
-
-def _normal_mass(amplitude, mu, sigma, x, which):
-    """A log-normal component's cdf or ccdf at x > 0."""
-    z = (np.log(x) - mu) / sigma
-    return amplitude * std_normal_cdf(z if which == "cdf" else -z)
 
 
 def _gamma_columns(amplitude, shape, scale, x, which, f):
@@ -392,21 +400,25 @@ def _component_columns(family, v, x, which):
 
 def _evaluate_model(model, x, which):
     # a scalar (a Python or numpy float, or any 0-d input) that passes the
-    # checks is evaluated as a float on the record's fields; any other
-    # input, or a scalar that fails a check, goes through the array checks
-    # and raises their DomainError
-    if not isinstance(x, float) and np.ndim(x) == 0:
+    # checks is evaluated as a Python float; any other input, or a scalar
+    # that fails a check, goes through the array checks and raises their
+    # DomainError. Both run the one or two components on the model's vector.
+    if type(x) is not float and np.ndim(x) == 0:
         x = float(np.asarray(x, dtype=float))
-    if isinstance(x, float) and math.isfinite(x) and (x > 0.0 if which == "pdf" else x >= 0.0):
-        return float(evaluate(model.family, _vector(model), float(x), which))
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("x must be finite")
-    if which == "pdf" and not (arr > 0.0).all():
-        raise DomainError("x must be > 0")
-    if which != "pdf" and not (arr >= 0.0).all():
-        raise DomainError("x must be >= 0")
-    return evaluate(model.family, param_pack(model), arr, which)
+    if type(x) is not float or not (0.0 < x < _INF if which == "pdf" else 0.0 <= x < _INF):
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise DomainError("x must be finite")
+        if which == "pdf" and not (x > 0.0).all():
+            raise DomainError("x must be > 0")
+        if which != "pdf" and not (x >= 0.0).all():
+            raise DomainError("x must be >= 0")
+    v = model._vector
+    component = _COMPONENT[model.family]
+    out = component(v[0], v[1], v[2], x, which)
+    if len(v) == 6:
+        out = out + component(v[3], v[4], v[5], x, which)
+    return float(out) if type(x) is float else out
 
 
 def pdf(model, x):
@@ -460,21 +472,14 @@ def sample(model, count, seed):
 
 def param_pack(model):
     """Flatten a model to its canonical parameter vector."""
-    return np.array(_vector(model), dtype=float)
-
-
-def _vector(model):
-    """The canonical parameter vector as a tuple of the record's fields."""
-    p = model.params
-    if is_bimodal(model.family):
-        return _slots(p.component1) + _slots(p.component2)
-    return _slots(p)
+    return np.array(model._vector)
 
 
 def _slots(p):
+    """A component record's three slots of the canonical vector, as floats."""
     if isinstance(p, GammaParams):
-        return (p.amplitude, p.shape, p.scale)
-    return (p.amplitude, p.mu, p.sigma)
+        return (float(p.amplitude), float(p.shape), float(p.scale))
+    return (float(p.amplitude), float(p.mu), float(p.sigma))
 
 
 def param_unpack(family, vector):

@@ -13,10 +13,13 @@ after 512 terms, while the prefactor exp(-x + a log x - log Gamma(a)) is
 computed with numpy's log and exp, on the scalar for a pair of floats.
 numpy's exp differs from math.exp in the last bit on a few percent of
 arguments, so math.exp there would move the last bits of P and Q, and with
-them the fitted gamma parameters; numpy's keeps both fixed, and a float
-call gives the bits of a one-element array.
+them the fitted gamma parameters; numpy's keeps both fixed.
 All functions accept scalars or numpy arrays and are pure and reentrant; a
-scalar or 0-d input gives a float, and a float builds no array.
+scalar or 0-d input gives a float. Each function has one float entry: a
+Python or numpy float inside its domain, tested by a single chained
+comparison, goes straight to the math and builds no array. Anything else,
+an invalid float included, takes the array path, which raises the errors;
+a float gives the bits of a 0-d or one-element array.
 """
 
 import math
@@ -48,6 +51,7 @@ _MAX_TERMS = 512
 
 _TINY = sys.float_info.min / sys.float_info.epsilon
 _SQRT2 = math.sqrt(2.0)
+_INF = math.inf
 
 
 def _as_array(x, name, require=None):
@@ -63,20 +67,10 @@ def _as_array(x, name, require=None):
     return arr
 
 
-def _valid_float(x, require=None):
-    """Whether x is a float that passes _as_array's checks. A valid float
-    skips numpy; any other input, or a float that fails a check, goes
-    through _as_array and raises its DomainError."""
-    return isinstance(x, float) and math.isfinite(x) and not (
-        (require == "positive" and x <= 0.0) or (require == "nonnegative" and x < 0.0)
-    )
-
-
-def _map_math(fn, x, name, require=None):
-    """The one-argument math function fn applied to each element of the
-    validated input x, keeping its shape; a scalar or 0-d input gives a float."""
-    if _valid_float(x, require):
-        return fn(x)
+def _elementwise(fn, x, name, require=None):
+    """The array path of a one-argument kernel: the math function fn applied
+    to each element of the validated input x, keeping its shape; a 0-d
+    input gives a float."""
     arr = _as_array(x, name, require)
     if arr.ndim == 0:
         return fn(float(arr))
@@ -99,7 +93,10 @@ def _lgamma(a):
 def log_gamma(a):
     """Natural log of the gamma function for a > 0; OverflowRangeError
     once it leaves the 64-bit float range (a above ~2.56e305)."""
-    return _map_math(_lgamma, a, "a", require="positive")
+    # a float above the threshold is left to the array path, which raises
+    if isinstance(a, float) and 0.0 < a <= LOG_GAMMA_OVERFLOW_THRESHOLD:
+        return math.lgamma(a)
+    return _elementwise(_lgamma, a, "a", require="positive")
 
 
 def _digamma(a):
@@ -117,7 +114,11 @@ def _digamma(a):
 
 def digamma(a):
     """Digamma function psi(a) = d ln Gamma(a) / da for a > 0."""
-    return _map_math(_digamma, a, "a", require="positive")
+    if isinstance(a, float) and 0.0 < a < _INF:
+        # a numpy float would run the recurrence in numpy scalars, whose
+        # 1/a warns on overflow where a Python float's does not
+        return _digamma(float(a))
+    return _elementwise(_digamma, a, "a", require="positive")
 
 
 def gamma_fn(a):
@@ -127,7 +128,9 @@ def gamma_fn(a):
     exceeds the 64-bit float range (a above ~171.62).
     """
     try:
-        return _map_math(math.gamma, a, "a", require="positive")
+        if isinstance(a, float) and 0.0 < a < _INF:
+            return math.gamma(a)
+        return _elementwise(math.gamma, a, "a", require="positive")
     except OverflowError:
         raise OverflowRangeError(
             f"gamma_fn overflows for a > {GAMMA_OVERFLOW_THRESHOLD}"
@@ -143,36 +146,44 @@ def _series_or_fraction(a, x):
     pair stops at its own convergence; a NaN stops it, as a failed
     comparison does.
     """
+    # the constants as locals and a float counter: the loops run on float
+    # operations alone, which the interpreter specializes
+    tiny, tol = _TINY, _TOL
     if x < a + 1.0:
         if x == 0.0:
             return 0.0
+        # every term, and so the sum, is positive: no abs() needed
         term = total = 1.0 / a
         denom = a
         for _ in range(_MAX_TERMS):
             denom += 1.0
             term = term * x / denom
             total += term
-            if not abs(term) >= abs(total) * _TOL:
+            if not term >= total * tol:
                 return total
         raise ConvergenceError("incomplete gamma series did not converge", _MAX_TERMS)
     b = x + 1.0 - a
-    c = 1.0 / _TINY
+    c = 1.0 / tiny
     # b is 0 only where x + 1 rounds to a (a >= 2**53); IEEE 1/0 is inf
     d = 1.0 / b if b else math.inf
     h = d
-    for i in range(1, _MAX_TERMS + 1):
+    i = 0.0
+    for _ in range(_MAX_TERMS):
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
+        if -tiny < d < tiny:
+            d = tiny
         c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
+        if -tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if not abs(delta - 1.0) >= _TOL:
+        # |delta - 1| < tol, or a NaN
+        step = delta - 1.0
+        if not (step >= tol or step <= -tol):
             return h
     raise ConvergenceError(
         "incomplete gamma continued fraction did not converge", _MAX_TERMS
@@ -185,16 +196,18 @@ def _regularized_gamma(a, x, upper):
     The directly computed part is capped at 1, which rounding can exceed for
     tiny shapes, so both P and Q stay in [0, 1].
     """
-    if _valid_float(a, "positive") and _valid_float(x, "nonnegative"):
-        # the array path's steps on one pair: log-gamma taken at x = 0 too,
-        # the prefactor in numpy's log and exp, so a float gives the bits
-        # and the errors of a one-element array
+    if (isinstance(a, float) and isinstance(x, float)
+            and 0.0 < a <= LOG_GAMMA_OVERFLOW_THRESHOLD and 0.0 <= x < _INF):
+        # the array path's steps on one pair, the prefactor in numpy's log
+        # and exp; a shape whose log-gamma overflows is left to the array
+        # path, which raises in the same order
         a, x = float(a), float(x)
-        total, log_gamma_a = _series_or_fraction(a, x), _lgamma(a)
         if x == 0.0:
             return 1.0 if upper else 0.0
-        log_prefix = -x + a * float(np.log(x)) - log_gamma_a
-        part = min(total * float(np.exp(log_prefix)), 1.0)
+        part = _series_or_fraction(a, x) * float(
+            np.exp(-x + a * float(np.log(x)) - math.lgamma(a)))
+        if part > 1.0:
+            part = 1.0
         return part if (x >= a + 1.0) == upper else 1.0 - part
     a_arr = _as_array(a, "a", require="positive")
     x_arr = _as_array(x, "x", require="nonnegative")
@@ -202,7 +215,10 @@ def _regularized_gamma(a, x, upper):
     a_list, x_list = a_b.ravel().tolist(), x_b.ravel().tolist()
     sums = np.array([_series_or_fraction(u, v) for u, v in zip(a_list, x_list)])
     log_gammas = np.array([_lgamma(u) for u in a_list]).reshape(a_b.shape)
-    with np.errstate(divide="ignore"):  # log(0) at x = 0, whose sum is 0
+    # log(0) at x = 0, whose sum is 0; a log x past the float range for a
+    # shape near log-gamma's threshold, which a float's product takes to
+    # +-inf without a warning
+    with np.errstate(divide="ignore", over="ignore"):
         log_prefix = -x_b + a_b * np.log(x_b) - log_gammas
     part = np.minimum(sums.reshape(x_b.shape) * np.exp(log_prefix), 1.0)
     direct = (x_b >= a_b + 1.0) if upper else (x_b < a_b + 1.0)
@@ -215,7 +231,7 @@ def reg_lower_incomplete_gamma(a, x):
 
     Series expansion for x < a + 1, continued fraction for x >= a + 1.
     """
-    return _regularized_gamma(a, x, upper=False)
+    return _regularized_gamma(a, x, False)
 
 
 def reg_upper_incomplete_gamma(a, x):
@@ -224,12 +240,14 @@ def reg_upper_incomplete_gamma(a, x):
     Computed directly from the continued fraction in the tail regime, so
     small tail masses keep full relative structure instead of cancelling.
     """
-    return _regularized_gamma(a, x, upper=True)
+    return _regularized_gamma(a, x, True)
 
 
 def erf_fn(x):
     """Error function."""
-    return _map_math(math.erf, x, "x")
+    if isinstance(x, float) and -_INF < x < _INF:
+        return math.erf(x)
+    return _elementwise(math.erf, x, "x")
 
 
 def std_normal_cdf(z):
@@ -238,4 +256,6 @@ def std_normal_cdf(z):
     The complementary error function keeps the negative tail's relative
     precision instead of cancelling against 1.
     """
-    return _map_math(_phi, z, "z")
+    if isinstance(z, float) and -_INF < z < _INF:
+        return 0.5 * math.erfc(-z / _SQRT2)
+    return _elementwise(_phi, z, "z")

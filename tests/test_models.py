@@ -1,5 +1,6 @@
 """Model families: closed forms, mixture linearity, sampling, packing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -394,6 +395,56 @@ class TestPackUnpack:
         assert np.array_equal(packed, [0.7, 1.5, 100.0, 0.3, 2.0, 5000.0])
         packed = param_pack(bilognormal_model(0.2, 9.0, 0.4, 0.8, 6.0, 0.7))
         assert np.array_equal(packed, [0.8, 6.0, 0.7, 0.2, 9.0, 0.4])
+
+
+class TestModelVector:
+    # models built from ints and numpy scalars, next to the raw inputs
+    MIXED = [
+        (gamma_model(1, 2, 1024), (1, 2, 1024)),
+        (lognormal_model(np.float32(0.1), np.int64(7), np.float64(0.75)),
+         (np.float32(0.1), np.int64(7), np.float64(0.75))),
+        (bigamma_model(np.float64(0.25), 3, np.int32(4096), 1, np.float32(2.5), 256),
+         (1, np.float32(2.5), 256, np.float64(0.25), 3, np.int32(4096))),
+        (bilognormal_model(np.float32(0.3), 9, np.float64(0.5), 1, np.int16(6), np.float32(0.7)),
+         (1, np.int16(6), np.float32(0.7), np.float32(0.3), 9, np.float64(0.5))),
+    ]
+
+    def test_int_and_numpy_inputs_pack_and_format_as_floats(self):
+        for model, raw in self.MIXED:
+            packed = param_pack(model)
+            assert packed.dtype == np.float64
+            assert _bits(packed) == _bits(np.array(raw, dtype=float))
+            floats = param_unpack(model.family, [float(v) for v in raw])
+            assert models.format_model(model) == models.format_model(floats)
+        assert models.format_model(self.MIXED[0][0]) == (
+            "family = gamma\nA = 1.0\nn = 2.0\nm = 1024.0\n"
+        )
+
+    @pytest.mark.parametrize("fn", [pdf, cdf, ccdf])
+    def test_int_and_numpy_inputs_evaluate_as_one_element_arrays(self, fn):
+        xs = [1e-300, 0.5, 300.0, 1234.5, 5000.0, 3e5, 1e8]
+        for model, raw in self.MIXED:
+            floats = param_unpack(model.family, [float(v) for v in raw])
+            for x in xs:
+                out = fn(model, x)
+                assert type(out) is float
+                assert _bits(out) == _bits(fn(model, np.array([x]))[0]), (model, x)
+                assert _bits(out) == _bits(fn(floats, x)), (model, x)
+
+    def test_replaced_params_evaluate_the_new_vector(self):
+        model = gamma_model(1.0, 2.0, 100.0)
+        moved = dataclasses.replace(model, params=GammaParams(1.0, 3.0, 100.0))
+        assert param_pack(moved).tolist() == [1.0, 3.0, 100.0]
+        assert pdf(moved, 50.0) == pdf(gamma_model(1.0, 3.0, 100.0), 50.0)
+        assert pdf(moved, 50.0) != pdf(model, 50.0)
+        # a replaced record is put in canonical order before the vector is taken
+        bimodal = bigamma_model(0.6, 2.0, 400.0, 0.4, 4.0, 3000.0)
+        swapped = dataclasses.replace(bimodal, params=BiGammaParams(
+            GammaParams(0.3, 5.0, 8000.0), GammaParams(0.7, 1.5, 200.0)))
+        assert param_pack(swapped).tolist() == [0.7, 1.5, 200.0, 0.3, 5.0, 8000.0]
+        expected = bigamma_model(0.7, 1.5, 200.0, 0.3, 5.0, 8000.0)
+        for fn in (pdf, cdf, ccdf):
+            assert fn(swapped, 2500.0) == fn(expected, 2500.0)
 
 
 class TestSpecValidation:

@@ -1,12 +1,13 @@
 """Special-function kernel against independent quadrature/recurrence oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy import integrate, special as sp_special
 
-from incomefit import models
+from incomefit import models, special
 from incomefit.errors import ConvergenceError, DomainError, OverflowRangeError
 from incomefit.special import (
     GAMMA_OVERFLOW_THRESHOLD,
@@ -317,3 +318,57 @@ class TestStdNormalCdf:
             )
             assert std_normal_cdf(float(z)) == pytest.approx(oracle, abs=1e-10)
 
+
+# the float entries' boundaries: signed zeros, the smallest subnormal, a tiny
+# normal, NaN, infinities, a negative, and log-gamma's overflow just past
+# its threshold and far above it
+BOUNDARY = [
+    0.0, -0.0, 5e-324, 1e-300, 0.5, 2.5, 171.0, 172.0, 1e300, -1.0,
+    math.nan, math.inf, -math.inf,
+    LOG_GAMMA_OVERFLOW_THRESHOLD, math.nextafter(LOG_GAMMA_OVERFLOW_THRESHOLD, math.inf), 1e306,
+]
+
+
+def _outcome(fn, *args):
+    """The bits of fn's float result, or its error's type and message."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert type(out) is float
+    return struct.pack("<d", out)
+
+
+class TestFloatEntry:
+    @pytest.mark.parametrize("name", ["log_gamma", "digamma", "gamma_fn", "erf_fn", "std_normal_cdf"])
+    def test_float_gives_the_zero_d_array_outcome(self, name):
+        fn = getattr(special, name)
+        for v in BOUNDARY:
+            expected = _outcome(fn, np.array(v))
+            for scalar in (v, np.float64(v)):
+                assert _outcome(fn, scalar) == expected, (name, v, type(scalar))
+
+    @pytest.mark.parametrize("name", ["reg_lower_incomplete_gamma", "reg_upper_incomplete_gamma"])
+    def test_float_pair_gives_the_zero_d_array_outcome(self, name):
+        fn = getattr(special, name)
+        values = BOUNDARY + [1.5, 3.5, 40.0]
+        for a in values:
+            for x in values:
+                expected = _outcome(fn, np.array(a), np.array(x))
+                for pair in ((a, x), (np.float64(a), np.float64(x)),
+                             (np.float64(a), x), (a, np.float64(x))):
+                    assert _outcome(fn, *pair) == expected, (name, a, x, type(pair[0]))
+
+    def test_boundary_outcomes(self):
+        # the entries route these as intended: a result where the array path
+        # gives one, and its error where it raises
+        assert log_gamma(LOG_GAMMA_OVERFLOW_THRESHOLD) < math.inf
+        assert _outcome(log_gamma, 1e306)[0] is OverflowRangeError
+        assert _outcome(log_gamma, -0.0) == (DomainError, "a must be > 0")
+        assert _outcome(std_normal_cdf, math.inf) == (DomainError, "z must be finite")
+        assert _outcome(erf_fn, math.nan) == (DomainError, "x must be finite")
+        assert _outcome(gamma_fn, 172.0)[0] is OverflowRangeError
+        assert _outcome(reg_lower_incomplete_gamma, 2.5, -0.0) == struct.pack("<d", 0.0)
+        assert _outcome(reg_upper_incomplete_gamma, 2.5, -0.0) == struct.pack("<d", 1.0)
+        assert _outcome(reg_upper_incomplete_gamma, 2.5, -1.0) == (DomainError, "x must be >= 0")
+        assert _outcome(reg_upper_incomplete_gamma, 1e306, 1.0)[0] is OverflowRangeError
