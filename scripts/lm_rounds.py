@@ -6,16 +6,18 @@
 Imports incomefit from this checkout's src/ and runs the default 8-start
 `fit` of each fixture (bimodal, chinaindia, world3), family and target (pdf,
 ccdf), the bimodal families' side refines during initialization included.
-It wraps `fitter._predict` and `fitter._lm_run` from here and prints, per
-family and target, summed over the three fixtures:
+It wraps `fitter._lm_run` from here, reads the model calls and rows each LM
+run returns, and prints, per family and target, summed over the three
+fixtures:
 
 - rounds: lockstep rounds, one `_predict` call each, not counting the first
   evaluation of the starts of each LM run;
 - proposals: the steps those rounds score, one per running start a round;
 - iterations: accepted iterations, the iteration counts the LM runs return
-  for their starts (a diverged start returns none);
+  for their starts (a diverged or merged start returns none);
 - evals: every parameter vector `_predict` evaluates, the starts' first
   evaluations included; each is one set of ordinates and columns;
+- merged: the starts retired because they reached another start's point;
 - us/round: process CPU time spent in `fitter._lm_run`, over rounds, in
   microseconds; the best of REPEATS passes over all 24 fits.
 
@@ -36,30 +38,28 @@ from incomefit.empirical import load_histogram, to_ccdf_curve, to_pdf_curve  # n
 
 FIXTURES = ("bimodal", "chinaindia", "world3")
 TARGETS = ("pdf", "ccdf")
-COUNTS = ("rounds", "proposals", "iterations", "evals")
+COUNTS = ("rounds", "proposals", "iterations", "evals", "merged")
 REPEATS = 5
 
 
 def counting(counts):
-    """Wrap fitter._predict and fitter._lm_run so that they add to counts."""
-    predict, lm_run = fitter._predict, fitter._lm_run
-
-    def counted_predict(family, theta, x, target):
-        counts["calls"] += 1
-        counts["evals"] += len(theta)
-        return predict(family, theta, x, target)
+    """Wrap fitter._lm_run so that it adds to counts."""
+    lm_run = fitter._lm_run
 
     def counted_lm_run(family, starts, *args):
-        calls, evals = counts["calls"], counts["evals"]
         start = time.process_time()
-        results = lm_run(family, starts, *args)
+        out = lm_run(family, starts, *args)
         counts["cpu_s"] += time.process_time() - start
-        counts["rounds"] += counts["calls"] - calls - 1
-        counts["proposals"] += counts["evals"] - evals - len(starts)
-        counts["iterations"] += sum(out[2] for out in results if out is not None)
-        return results
+        results, calls, rows = out
+        runs = [run for run in results if run is not None and run is not fitter._MERGED]
+        counts["rounds"] += calls - 1
+        counts["proposals"] += rows - len(starts)
+        counts["iterations"] += sum(run[2] for run in runs)
+        counts["evals"] += rows
+        counts["merged"] += results.count(fitter._MERGED)
+        return out
 
-    fitter._predict, fitter._lm_run = counted_predict, counted_lm_run
+    fitter._lm_run = counted_lm_run
 
 
 def main():

@@ -12,15 +12,19 @@ coefficient of determination on the curve ordinates.
 The starts of a multistart run in lockstep as one batch: each round scores
 one proposal of every running start in a single model call. Each start
 keeps its own damping, iteration count and stop, and every batched step is
-bit for bit the one-start computation, so the results are identical to
-running the starts one by one. The arrays are numpy stacks, one row per
-running start; each start's scalars (sum of squares, damping, iteration
-count) are Python floats and ints. Only the gain ratio's (2 rho - 1)^3 stays
-in numpy, whose power may differ from Python's in the last bit.
+bit for bit the one-start computation. A running start that comes within
+_MERGE_RADIUS = 1e-2 (max-norm in the unconstrained coordinates) of another
+start, running or finished, whose sum of squares is lower (or equal, at a
+lower start index) is merged: it leaves the batch with no result. Every
+start that is not merged ends bit for bit as it does running alone. The
+arrays are numpy stacks, one row per running start; each start's scalars
+(sum of squares, damping, iteration count) are Python floats and ints. Only
+the gain ratio's (2 rho - 1)^3 stays in numpy, whose power may differ from
+Python's in the last bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +53,8 @@ _DAMPING_FLOOR = 1e-15
 _JITTER_SIGMA = 0.3
 _STEP_TOL = 1e-10  # converged when |step| <= tol * (|theta| + tol)
 _RESIDUAL_TOL = 1e-12  # converged when a step cuts SS by at most tol * SS
+_MERGE_RADIUS = 1e-2  # max-norm distance in theta within which starts merge
+_MERGED = "merged"  # _lm_run's result for a merged start
 
 # which slots of the canonical parameter vector are strictly positive and
 # therefore fitted as logarithms (mu of a log-normal stays linear); these are
@@ -96,6 +102,10 @@ class FitResult:
     iterations: int
     converged: bool
     init_used: models.ModelSpec
+    # the multistart's work: model calls, the vectors they scored, merged starts
+    model_calls: int
+    model_rows: int
+    merged_starts: int
 
 
 def r_squared(observed, predicted, weights=None):
@@ -212,8 +222,14 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     A start keeps its own damping, nu, iteration count and stop, so it ends
     exactly as it would running alone: when it converges, reaches
     max_iterations, or its damping passes _DAMPING_CAP; it then leaves the
-    stack. Returns one (theta, ss, iterations, converged, f) tuple per start,
-    None for a diverged start.
+    stack. After a round that accepts a step, a running start is merged (it
+    leaves with no result) when its theta lies within _MERGE_RADIUS, in the
+    max-norm, of another start's latest theta, running or finished, whose ss
+    is lower, or equal at a lower index: the clustering multistart of Rinnooy
+    Kan and Timmer (Math. Programming 39, 1987). Merging only removes rows.
+    Returns one (theta, ss, iterations, converged, f) tuple per start, None
+    for a diverged and _MERGED for a merged start, then the number of
+    _predict calls and of the parameter vectors they scored.
 
     Only the arrays are numpy; each start's ss, lam, nu, iterations and row
     in starts are Python scalars, tested start by start, and only the cube
@@ -224,6 +240,7 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     theta = np.array(starts, dtype=float)
     k, p = theta.shape
     f, cols, ok = _predict(family, theta, x, target)
+    n_calls, n_rows = 1, k
     r = sqrt_w * (y - f)
     # a start whose first evaluation is rejected has diverged: its NaN sum of
     # squares stops it at once, with no result
@@ -237,6 +254,9 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
     normal, grad, scale = np.empty((k, p, p)), np.empty((k, p)), np.empty((k, p))
     index = list(range(k))  # the running starts' rows in starts
     results = [None] * k
+    # every start's latest theta and ss, by its row in starts; a merged or
+    # diverged start's ss is NaN, so no start merges into it
+    last, last_ss = theta.copy(), list(ss)
 
     while True:
         if any(stop):
@@ -245,7 +265,7 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
                     results[index[j]] = (theta[j], ss[j], iterations[j], converged[j], f[j])
             keep = [j for j, halt in enumerate(stop) if not halt]
             if not keep:
-                return results
+                return results, n_calls, n_rows
             theta, f, cols, r, normal, grad, scale = (
                 a[keep] for a in (theta, f, cols, r, normal, grad, scale))
             ss, lam, nu, iterations, begins, index = (
@@ -273,6 +293,7 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
 
         trial = theta + delta
         f_trial, cols_trial, ok = _predict(family, trial, x, target)
+        n_calls, n_rows = n_calls + 1, n_rows + len(trial)
         r_trial = sqrt_w * (y - f_trial)
         ss_trial = _sum_squares(r_trial).tolist()
         begins = [good and math.isfinite(t) and t <= s
@@ -307,6 +328,22 @@ def _lm_run(family, starts, x, y, weights, target, max_iterations):
             for a, b in ((theta, trial), (f, f_trial), (r, r_trial)):
                 np.copyto(a, b, where=rows)
             np.copyto(cols, cols_trial, where=rows[:, :, None])
+        if k == 1 or not any(begins):
+            continue
+        # the merge check, every running row against every start's latest
+        # theta; a row is at distance 0 from itself, and a squared distance
+        # above 2 p R^2 rules out a max-norm distance <= R
+        last[index] = theta
+        for j, i in enumerate(index):
+            last_ss[i] = ss[j]
+        d = last - theta[:, None]
+        if np.count_nonzero(np.vecdot(d, d) <= 2 * p * _MERGE_RADIUS**2) == len(theta):
+            continue
+        for j, m in zip(*np.nonzero(np.abs(d).max(axis=2) <= _MERGE_RADIUS)):
+            i = index[j]
+            if (last_ss[m], m) < (last_ss[i], i) and not stop[j]:
+                stop[j], results[i] = True, _MERGED
+                ss[j] = last[i] = last_ss[i] = math.nan
 
 
 def _curve_weights(curve, weighting):
@@ -399,7 +436,7 @@ def _median_split(x, y):
 def _side_refine(x, y, subfamily, start):
     """Short single-start LM polish of a side's moment estimate vector."""
     theta0 = _to_unconstrained(subfamily, start)
-    (out,) = _lm_run(subfamily, theta0[None], x, y, np.ones_like(y), PDF, 60)
+    (out,), _, _ = _lm_run(subfamily, theta0[None], x, y, np.ones_like(y), PDF, 60)
     if out is None:
         return start
     return _from_unconstrained(subfamily, out[0])
@@ -481,10 +518,10 @@ def fit(curve, family, config=None, init=None):
     for _ in range(config.multistart_count - 1):
         starts.append(theta0 + _JITTER_SIGMA * rng.standard_normal(n_par))
 
-    outs = _lm_run(
+    outs, calls, rows = _lm_run(
         family, starts, curve.x, curve.y, weights, config.target, config.max_iterations
     )
-    runs = [out for out in outs if out is not None]
+    runs = [out for out in outs if out is not None and out is not _MERGED]
     if not runs:
         raise FitFailureError(
             f"all {config.multistart_count} starts diverged fitting {family} "
@@ -508,6 +545,9 @@ def fit(curve, family, config=None, init=None):
         iterations=iterations,
         converged=converged,
         init_used=init,
+        model_calls=calls,
+        model_rows=rows,
+        merged_starts=outs.count(_MERGED),
     )
 
 
@@ -556,17 +596,14 @@ def refit_nested(curve, unimodal_result, config=None):
     if attempt.ss_res <= uni_ss + 1e-12:
         return attempt
 
-    embedded = _embedding(unimodal_result.model, 0.0)
-    ss_tot = _weighted_ss_tot(curve.y, weights)
-    return FitResult(
-        model=embedded,
-        r_squared=1.0 - uni_ss / ss_tot,
+    # the attempt's ss_tot, iterations, init_used and work counts carry over
+    return replace(
+        attempt,
+        model=_embedding(unimodal_result.model, 0.0),
+        r_squared=1.0 - uni_ss / attempt.ss_tot,
         ss_res=uni_ss,
-        ss_tot=ss_tot,
         residuals=curve.y - uni_pred,
-        iterations=attempt.iterations,
         converged=unimodal_result.converged,
-        init_used=seed_spec,
     )
 
 

@@ -20,6 +20,7 @@ from incomefit.fitter import (
     _solve,
     _sum_squares,
     _to_unconstrained,
+    _weighted_ss_tot,
     fit,
     format_fit_result,
     initialize,
@@ -568,84 +569,104 @@ def _same_run(a, b):
             and a[4].tobytes() == b[4].tobytes())
 
 
+def _rank(family):
+    """fit's order of LM results: ss, then iterations, then parameters."""
+    return lambda run: (run[1], run[2], tuple(_from_unconstrained(family, run[0])))
+
+
+def _lone(family, starts, *args):
+    """Each start's _lm_run result when it runs alone."""
+    return [_lm_run(family, start[None], *args)[0][0] for start in starts]
+
+
+def _check_merge_contract(family, stacked, alone, ss_tot):
+    """Every unmerged start of a stacked run ends as it does alone, bit for
+    bit, and no merged start's lone run ends more than 1e-9 ss_tot below the
+    best unmerged one, which is returned."""
+    assert len(stacked) == len(alone)
+    for run, lone in zip(stacked, alone):
+        if run is not fitter._MERGED:
+            assert _same_run(run, lone)
+    best = min((run for run in stacked if run is not None and run is not fitter._MERGED),
+               key=_rank(family))
+    for run, lone in zip(stacked, alone):
+        if run is fitter._MERGED and lone is not None:
+            assert lone[1] >= best[1] - 1e-9 * ss_tot
+    return best
+
+
+def _check_fit_merge_contract(family, curve, config, monkeypatch):
+    """fit's stacked run keeps the merge contract and leaves its starts as
+    given, and fit returns the best unmerged lone run, bit for bit."""
+    calls = []
+
+    def spy(*args):
+        given = np.array(args[1])
+        out = _lm_run(*args)
+        assert np.array(args[1]).tobytes() == given.tobytes()
+        calls.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(fitter, "_lm_run", spy)
+    result = fit(curve, family, config)
+    ((args, stacked),) = [(a, out) for a, out in calls if a[0] == family]
+    assert len(args[1]) == config.multistart_count
+    alone = _lone(args[0], args[1], *args[2:])
+    best = _check_merge_contract(family, stacked, alone, result.ss_tot)
+    packed = models.param_pack(result.model)
+    assert packed.tobytes() == _from_unconstrained(family, best[0]).tobytes()
+    assert (result.ss_res, result.iterations, result.converged) == best[1:4]
+    return args
+
+
 class TestLockstep:
     @pytest.mark.parametrize("kind", ["pdf", "ccdf"])
     @pytest.mark.parametrize("family", models.FAMILIES)
     def test_stack_equals_start_by_start(self, family, kind, monkeypatch):
-        # fit runs its starts as one stack; each start must end exactly as it
-        # does alone, and fit must return the best of those lone runs
+        # fit runs its starts as one stack; each start that is not merged
+        # must end exactly as it does alone, no merged start may have ended
+        # lower alone, and fit must return the best of the unmerged lone runs
         hist = load_histogram(FIXTURES / "synthetic_world3.csv")
         curve = to_pdf_curve(hist) if kind == "pdf" else to_ccdf_curve(hist)
-        config = FitConfig(target=kind)
-        calls = []
-
-        def spy(*args):
-            out = _lm_run(*args)
-            calls.append((args, out))
-            return out
-
-        monkeypatch.setattr(fitter, "_lm_run", spy)
-        result = fit(curve, family, config)
-        ((args, stacked),) = [(a, out) for a, out in calls if a[0] == family]
-        starts = args[1]
-        assert len(starts) == config.multistart_count
-        alone = [_lm_run(args[0], start[None], *args[2:])[0] for start in starts]
-        assert all(_same_run(a, b) for a, b in zip(alone, stacked))
-        best = min((run for run in alone if run is not None),
-                   key=lambda run: (run[1], run[2], tuple(_from_unconstrained(family, run[0]))))
-        packed = models.param_pack(result.model)
-        assert packed.tobytes() == _from_unconstrained(family, best[0]).tobytes()
-        assert (result.ss_res, result.iterations, result.converged) == best[1:4]
+        _check_fit_merge_contract(family, curve, FitConfig(target=kind), monkeypatch)
 
     @pytest.mark.parametrize("family", models.FAMILIES)
     def test_relative_weights_stack_equals_start_by_start(self, family, monkeypatch):
         # as above, with fit's weights 1/y^2 on a ccdf curve
         curve = to_ccdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
         config = FitConfig(target="ccdf", weighting="relative")
-        calls = []
-
-        def spy(*args):
-            out = _lm_run(*args)
-            calls.append((args, out))
-            return out
-
-        monkeypatch.setattr(fitter, "_lm_run", spy)
-        result = fit(curve, family, config)
-        ((args, stacked),) = [(a, out) for a, out in calls if a[0] == family]
+        args = _check_fit_merge_contract(family, curve, config, monkeypatch)
         assert args[4].tobytes() == (1.0 / curve.y**2).tobytes()
-        alone = [_lm_run(args[0], start[None], *args[2:])[0] for start in args[1]]
-        assert all(_same_run(a, b) for a, b in zip(alone, stacked))
-        best = min((run for run in alone if run is not None),
-                   key=lambda run: (run[1], run[2], tuple(_from_unconstrained(family, run[0]))))
-        packed = models.param_pack(result.model)
-        assert packed.tobytes() == _from_unconstrained(family, best[0]).tobytes()
-        assert (result.ss_res, result.iterations, result.converged) == best[1:4]
 
     def test_later_rounds_leave_early_results_and_starts_alone(self):
         # the core updates its arrays in place; a start that stops early must
         # keep the result it stopped with (byte-equal to a copy of its lone
-        # run, taken before the stacked run starts), and the caller's starts
-        # must come back as given
+        # run, taken before the stacked run starts) unless it was merged, and
+        # the caller's starts must come back as given; at 0.3 most starts
+        # merge, so a wider jitter keeps starts that stop at different rounds
         curve = to_pdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
         theta0 = _to_unconstrained("bigamma", models.param_pack(initialize(curve, "bigamma")))
-        starts = theta0 + 0.3 * np.random.default_rng(11).standard_normal((6, theta0.size))
-        given = starts.copy()
         run_args = (curve.x, curve.y, np.ones_like(curve.y), "pdf", 500)
-        copies = []
-        for start in starts:
-            (run,) = _lm_run("bigamma", start[None], *run_args)
-            copies.append((run[0].copy(), *run[1:4], run[4].copy()))
-        # the starts leave the stack after different numbers of iterations
-        assert len({run[2] for run in copies}) >= 3
-        stacked = _lm_run("bigamma", starts, *run_args)
-        assert starts.tobytes() == given.tobytes()
-        assert all(_same_run(run, copy) for run, copy in zip(stacked, copies))
+        for jitter in (0.3, 1.0):
+            starts = theta0 + jitter * np.random.default_rng(11).standard_normal((6, theta0.size))
+            given = starts.copy()
+            copies = []
+            for (run,) in (_lm_run("bigamma", start[None], *run_args)[0] for start in starts):
+                copies.append((run[0].copy(), *run[1:4], run[4].copy()))
+            # the starts leave the stack after different numbers of iterations
+            assert len({run[2] for run in copies}) >= 3
+            stacked, _, _ = _lm_run("bigamma", starts, *run_args)
+            assert starts.tobytes() == given.tobytes()
+            _check_merge_contract("bigamma", stacked, copies,
+                                  _weighted_ss_tot(curve.y, run_args[2]))
+        assert len({run[2] for run in stacked if run is not fitter._MERGED}) >= 3
 
     @pytest.mark.parametrize("mode", ["raise", "nan"])
     def test_failing_start_leaves_the_others_alone(self, mode, monkeypatch):
         # the log-gamma kernel fails (raises, or returns NaN) on every shape
         # one start's lone run visits after its first evaluation; only that
         # start's proposals are rejected, and the others end as they do alone
+        # unless merged
         curve = to_pdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
         theta0 = _to_unconstrained("gamma", models.param_pack(initialize(curve, "gamma")))
         rng = np.random.default_rng(3)
@@ -663,7 +684,7 @@ class TestLockstep:
         lone, visited = [], []
         for start in starts:
             seen.clear()
-            lone.append(_lm_run("gamma", start[None], *run_args)[0])
+            lone.append(_lm_run("gamma", start[None], *run_args)[0][0])
             visited.append(set(seen))
         poisoned = 2
         seen.clear()
@@ -674,19 +695,40 @@ class TestLockstep:
 
         def failing(n):
             if n in bad:
+                seen.append(n)
                 if mode == "raise":
                     raise DomainError("poisoned shape")
                 return math.nan
             return log_gamma(n)
 
         monkeypatch.setattr(models, "log_gamma", failing)
-        stacked = _lm_run("gamma", starts, *run_args)
-        poisoned_alone = _lm_run("gamma", starts[poisoned][None], *run_args)[0]
-        for i in (0, 1, 3):
-            assert _same_run(stacked[i], lone[i])
+        given = starts.copy()
+        seen.clear()
+        stacked, _, _ = _lm_run("gamma", starts, *run_args)
+        assert starts.tobytes() == given.tobytes()
+        # the poisoned start met the failing kernel within the stack
+        assert seen
+        poisoned_alone = _lm_run("gamma", starts[poisoned][None], *run_args)[0][0]
+        assert poisoned_alone is not None
+        assert not _same_run(poisoned_alone, lone[poisoned])
+        alone = lone[:poisoned] + [poisoned_alone] + lone[poisoned + 1:]
+        _check_merge_contract("gamma", stacked, alone, _weighted_ss_tot(curve.y, run_args[2]))
         assert stacked[poisoned] is not None
-        assert _same_run(stacked[poisoned], poisoned_alone)
-        assert not _same_run(stacked[poisoned], lone[poisoned])
+
+    def test_merge_keeps_the_lower_sum_of_squares(self):
+        # a start placed 1e-3 from a converged one merges into it, whatever
+        # their order; of two identical starts (a tie) the later one merges
+        curve = to_pdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
+        theta0 = _to_unconstrained("gamma", models.param_pack(initialize(curve, "gamma")))
+        run_args = (curve.x, curve.y, np.ones_like(curve.y), "pdf", 500)
+        (best,), _, _ = _lm_run("gamma", theta0[None], *run_args)
+        near = best[0] + 1e-3 * np.array((1.0, -1.0, 1.0))
+        for starts, merged in (((near, best[0]), 0), ((best[0], near), 1),
+                               ((theta0, theta0), 1)):
+            stacked, _, _ = _lm_run("gamma", np.array(starts), *run_args)
+            assert stacked[merged] is fitter._MERGED
+            kept = stacked[1 - merged]
+            assert _same_run(kept, _lm_run("gamma", starts[1 - merged][None], *run_args)[0][0])
 
     def test_singular_system_leaves_the_others_alone(self):
         # a batched solve fails as a whole on one singular matrix; the others
@@ -710,3 +752,42 @@ class TestLockstep:
             for row, total in zip(rows, sums):
                 assert total == float(row @ row)
                 assert math.sqrt(total) == float(np.linalg.norm(row))
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("kind", ["pdf", "ccdf"])
+    @pytest.mark.parametrize("family", models.FAMILIES)
+    def test_counts_are_the_model_calls_seen(self, family, kind, monkeypatch):
+        # model_calls and model_rows count the multistart run's _predict
+        # calls, the first evaluation of the starts included, and the
+        # parameter vectors they score
+        hist = load_histogram(FIXTURES / "synthetic_world3.csv")
+        curve = to_pdf_curve(hist) if kind == "pdf" else to_ccdf_curve(hist)
+        init = initialize(curve, family)
+        seen = []
+
+        def spy(family, theta, *args):
+            seen.append(len(theta))
+            return _predict(family, theta, *args)
+
+        monkeypatch.setattr(fitter, "_predict", spy)
+        result = fit(curve, family, FitConfig(target=kind), init=init)
+        assert seen[0] == FitConfig().multistart_count
+        assert (result.model_calls, result.model_rows) == (len(seen), sum(seen))
+
+    def test_merging_retires_starts_and_saves_rows(self):
+        curve = to_pdf_curve(load_histogram(FIXTURES / "synthetic_world3.csv"))
+        config = FitConfig()
+        result = fit(curve, "bigamma", config)
+        assert result.merged_starts >= 1
+        assert result.model_rows < config.multistart_count * result.model_calls
+
+    def test_fallback_carries_the_attempts_counts(self, monkeypatch):
+        curve = exact_curve(TRUTHS["bilognormal"], "pdf")
+        uni = fit(curve, "lognormal")
+        worse = replace(uni, ss_res=2.0 * uni.ss_res + 1.0,
+                        model_calls=11, model_rows=53, merged_starts=3)
+        monkeypatch.setattr("incomefit.fitter.fit", lambda *args, **kwargs: worse)
+        bi = refit_nested(curve, uni)
+        assert models.param_pack(bi.model)[3] == 0.0
+        assert (bi.model_calls, bi.model_rows, bi.merged_starts) == (11, 53, 3)
