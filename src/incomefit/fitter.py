@@ -10,9 +10,11 @@ multistart and keeps the best sum of squares; goodness of fit is the ordinary
 coefficient of determination on the curve ordinates.
 
 The starts of a multistart run in lockstep as one batch: each round scores
-one proposal of every running start in a single model call. Each start
-keeps its own damping, iteration count and stop, and every batched step is
-bit for bit the one-start computation. A running start that comes within
+one proposal of every running start in a single call of
+models.evaluate_columns on their (k, p) stack, the fitter's one entry into
+the model core, which gives the ordinates and the Jacobian columns. Each
+start keeps its own damping, iteration count and stop, and every batched
+step is bit for bit the one-start computation. A running start that comes within
 _MERGE_RADIUS = 1e-2 (max-norm in the unconstrained coordinates) of another
 start, running or finished, whose sum of squares is lower (or equal, at a
 lower start index) is merged: it leaves the batch with no result. Every
@@ -145,40 +147,35 @@ def _predict(family, theta, x, target):
     stack of unconstrained vectors, one row per start.
 
     One models.evaluate_columns call gives the ordinates, bit for bit those
-    of models.evaluate, and their derivatives in theta's coordinates, for
-    every row at once. The exponential map keeps amplitudes, shapes, scales
-    and sigmas >= 0. A row is rejected (its mask entry is False, so the
-    optimizer treats it as an infinitely bad step) when a parameter is not
-    finite, a shape, scale or sigma underflows to 0, a kernel fails on it,
-    or one of its ordinates or columns is not finite. An amplitude may
-    underflow: a zero-mass component is valid. A kernel error fails the
-    whole stacked call, so the rows are then evaluated one by one, and only
-    the failing rows are rejected.
+    of models.pdf or models.ccdf on each row's model, and their derivatives
+    in theta's coordinates, for every row at once. The exponential map keeps
+    amplitudes, shapes, scales and sigmas >= 0. A row is rejected (its mask
+    entry is False, so the optimizer treats it as an infinitely bad step)
+    when a parameter is not finite, a shape, scale or sigma underflows to 0,
+    a kernel fails on it, or one of its ordinates or columns is not finite.
+    An amplitude may underflow: a zero-mass component is valid. A kernel
+    error fails the whole stacked call, so the rows are then evaluated one
+    by one, as one-row stacks, and only the failing rows are rejected.
     """
+    k, p = theta.shape
     with np.errstate(all="ignore"):
         vec = np.where(_POSITIVE_SLOTS[family], np.exp(theta), theta)
         # finite, and > 0 in the shape, scale and sigma slots, in one pass
         ok = ((vec > _LOWER_BOUNDS[family]) & (vec < np.inf)).all(axis=1)
+        if not ok.all():
+            # a rejected row runs with zero mass, so no kernel sees it
+            vec[~ok, ::3] = 0.0
         try:
-            if ok.all():
-                f, cols = models.evaluate_columns(family, vec, x, target)
-            else:
-                f, cols = _nan_stack(*theta.shape, x.size)
-                if ok.any():
-                    f[ok], cols[ok] = models.evaluate_columns(family, vec[ok], x, target)
+            f, cols = models.evaluate_columns(family, vec, x, target)
         except IncomeFitError:
-            f, cols = _nan_stack(*theta.shape, x.size)
+            f, cols = np.full((k, x.size), np.nan), np.full((k, x.size, p), np.nan)
             for i in np.flatnonzero(ok):
                 try:
-                    f[i], cols[i] = models.evaluate_columns(family, vec[i], x, target)
+                    f[i], cols[i] = models.evaluate_columns(family, vec[i:i + 1], x, target)
                 except IncomeFitError:
                     pass
-    cols_ok = np.isfinite(cols.reshape(len(cols), -1)).all(axis=1)
-    return f, cols, np.isfinite(f).all(axis=1) & cols_ok
-
-
-def _nan_stack(k, p, n):
-    return np.full((k, n), np.nan), np.full((k, n, p), np.nan)
+    cols_ok = np.isfinite(cols.reshape(k, -1)).all(axis=1)
+    return f, cols, ok & np.isfinite(f).all(axis=1) & cols_ok
 
 
 def _sum_squares(r):
@@ -587,8 +584,8 @@ def refit_nested(curve, unimodal_result, config=None):
     family = models.bimodal_counterpart(uni_family)
 
     weights = _curve_weights(curve, config.weighting)
-    uni_vec = models.param_pack(unimodal_result.model)
-    uni_pred = models.evaluate(uni_family, uni_vec, curve.x, config.target)
+    evaluate = models.pdf if config.target == PDF else models.ccdf
+    uni_pred = evaluate(unimodal_result.model, curve.x)
     uni_ss = float(np.sum(weights * (curve.y - uni_pred) ** 2))
 
     seed_spec = _embedding(unimodal_result.model, 0.05)

@@ -47,7 +47,6 @@ __all__ = [
     "pdf",
     "cdf",
     "ccdf",
-    "evaluate",
     "evaluate_columns",
     "total_amplitude",
     "sample",
@@ -229,8 +228,6 @@ def _each(fn, *params):
 
 
 def _gamma_component(amplitude, shape, scale, x, which):
-    # stacked (k, 1) amplitudes are all > 0: evaluate_columns runs a row
-    # with a zero-mass component alone
     if isinstance(amplitude, float) and amplitude == 0.0:
         return 0.0 if isinstance(x, float) else np.zeros_like(x)
     if which == "cdf":
@@ -276,9 +273,6 @@ def _gamma_columns(amplitude, shape, scale, x, which, f):
     """Columns d/d ln A, d/d ln n, d/d ln m of a gamma component whose
     ordinates are f. The pdf's shape column is closed form; the ccdf's is a
     forward difference in ln n, one more component evaluation."""
-    if isinstance(amplitude, float) and amplitude == 0.0:
-        zero = np.zeros_like(x)
-        return f, zero, zero
     if which == "pdf":
         # n f (ln x - ln m - psi(n)), finite and 0 where f underflowed to 0;
         # f (x/m - n), where x/m may be inf once f underflowed to 0
@@ -334,68 +328,42 @@ _COLUMNS = {
 }
 
 
-def evaluate(family, vec, x, which):
-    """Summed "pdf", "cdf" or "ccdf" ordinates at a float array or a float x.
+def evaluate_columns(family, stack, x, which):
+    """Ordinates and derivative columns of a (k, p) stack of canonical
+    parameter vectors, one per row: (k, x.size) summed "pdf" or "ccdf"
+    ordinates, those of pdf or ccdf on each row's model, and (k, x.size, p)
+    columns, taken with respect to the logarithm of every amplitude, shape,
+    scale and sigma and to mu itself. All are closed form but a gamma "ccdf"
+    shape column, a forward difference in ln n that costs one more component
+    evaluation. Nothing is validated: callers guarantee valid parameters and
+    x in the domain.
 
-    vec is the family's canonical parameter vector, three slots per
-    component. Nothing is validated: callers guarantee positive shapes,
-    scales and sigmas, non-negative amplitudes and x in the domain. A float
-    x runs in Python floats, numpy's log and exp applied to the scalar, and
-    gives the bits of a one-element array.
+    Each row equals its one-row call bit for bit. A component runs only on
+    the rows where its amplitude is above 0: elsewhere its ordinates and
+    columns are 0, and no kernel sees its parameters. A kernel error in any
+    row fails the whole call.
     """
-    component = _COMPONENT[family]
-    v = [float(t) for t in vec]
-    out = component(*v[:3], x, which)
-    if len(v) == 6:
-        out = out + component(*v[3:], x, which)
-    return out
-
-
-def evaluate_columns(family, vec, x, which):
-    """evaluate's "pdf" or "ccdf" ordinates, bit for bit, and their derivatives.
-
-    The derivatives form an (x.size, len(vec)) array, one column per slot of
-    vec, taken with respect to the logarithm of every amplitude, shape, scale
-    and sigma (d/d ln p = p d/dp, so a zero-amplitude component gives zero
-    columns) and to mu itself. Every column is closed form except the shape
-    column of a gamma "ccdf", a forward difference in ln n, which costs one
-    more component evaluation. Nothing is validated, as in evaluate.
-
-    vec may also be a (k, p) stack of parameter vectors, one per row; the
-    result is then (k, x.size) ordinates and (k, x.size, p) columns, and
-    each row equals, bit for bit, the call on that row alone. A stack is
-    evaluated in one pass over the grid, its per-row scalar terms in math
-    as a single call's are; a kernel error in any row fails the whole call.
-    The fitter makes this one call per round of proposals, one row for each
-    running multistart start, and uses both results: the ordinates to score
-    a proposal and, once it is accepted, the columns as its Jacobian.
-    """
-    stack = np.asarray(vec, dtype=float)
-    if stack.ndim == 1:
-        return _component_columns(family, [float(t) for t in stack], x, which)
-    if len(stack) == 1:
-        f, cols = evaluate_columns(family, stack[0], x, which)
-        return f[None], cols[None]
-    if not stack[:, ::3].all():
-        # a zero-mass component takes the single-vector shortcut: row by row
-        rows = [evaluate_columns(family, row, x, which) for row in stack]
-        return np.stack([f for f, _ in rows]), np.stack([cols for _, cols in rows])
-    return _component_columns(family, list(stack.T[:, :, None]), x, which)
-
-
-def _component_columns(family, v, x, which):
-    """Ordinates and columns for v, one float or (k, 1) column per slot."""
+    k, p = stack.shape
     component, columns = _COMPONENT[family], _COLUMNS[family]
-    out, cols = None, []
-    for slots in (v[:3], v[3:]) if len(v) == 6 else (v,):
+    # every third slot of the flat stack is an amplitude, all >= 0; tested in
+    # floats, which costs a tenth of numpy's all() on these sizes
+    every = all(stack.ravel()[::3].tolist())
+    # a live row alone runs in floats: (1, 1) columns give its bits slower
+    v = stack[0].tolist() if k == 1 and every else list(stack.T[:, :, None])
+    cols = np.empty((k, x.size, p)) if every else np.zeros((k, x.size, p))
+    for c in range(0, p, 3):
+        slots, at = v[c:c + 3], Ellipsis
+        if not every:
+            at = stack[:, c] > 0.0
+            if not at.any():
+                continue
+            slots = [s[at] for s in slots]
         f = component(*slots, x, which)
-        cols.extend(columns(*slots, x, which, f))
-        out = f if out is None else out + f
-    # filled column by column: np.stack costs twice as much on these sizes
-    stacked = np.empty(out.shape + (len(cols),))
-    for j, col in enumerate(cols):
-        stacked[..., j] = col
-    return out, stacked
+        # filled column by column: np.stack costs twice as much on these sizes
+        for j, col in enumerate(columns(*slots, x, which, f), c):
+            cols[at, :, j] = col
+    # a component's d/d ln A column is its ordinates
+    return (cols[..., 0] + cols[..., 3] if p == 6 else cols[..., 0].copy()), cols
 
 
 def _evaluate_model(model, x, which):

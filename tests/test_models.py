@@ -202,52 +202,92 @@ class TestNormalization:
 class TestEvaluateColumns:
     @pytest.mark.parametrize("which", ["pdf", "ccdf"])
     def test_values_bit_identical_to_evaluate(self, which):
+        # the ordinates of a one-row stack are those of pdf or ccdf
         rng = np.random.default_rng(23)
         x = np.geomspace(30.0, 60000.0, 60)
         if which == "ccdf":
             x = np.concatenate(([0.0], x))
+        evaluate = pdf if which == "pdf" else ccdf
         for model in random_models(rng, 5):
             vec = param_pack(model)
-            values, cols = models.evaluate_columns(model.family, vec, x, which)
-            assert np.array_equal(values, models.evaluate(model.family, vec, x, which))
-            assert cols.shape == (x.size, vec.size)
+            values, cols = models.evaluate_columns(model.family, vec[None], x, which)
+            assert values.tobytes() == evaluate(model, x).tobytes()
+            assert cols.shape == (1, x.size, vec.size)
             assert np.all(np.isfinite(cols))
             if which == "ccdf":
                 # the tail mass at 0 is the amplitude, whatever the shape
-                assert np.array_equal(cols[0], vec * (np.arange(vec.size) % 3 == 0))
+                assert np.array_equal(cols[0, 0], vec * (np.arange(vec.size) % 3 == 0))
 
     @pytest.mark.parametrize("which", ["pdf", "ccdf"])
     def test_zero_amplitude_component_has_zero_columns(self, which):
+        # a subnormal sigma makes z infinite: the columns are still 0, not
+        # the NaN of 0 * inf
         x = np.geomspace(10.0, 1e4, 20)
         for family, vec in (
             ("bigamma", [1.0, 2.0, 100.0, 0.0, 2.0, 500.0]),
             ("bilognormal", [1.0, 6.0, 0.5, 0.0, 8.0, 0.7]),
+            ("bilognormal", [1.0, 6.0, 0.5, 0.0, 8.0, 1e-320]),
         ):
-            _, cols = models.evaluate_columns(family, np.array(vec), x, which)
-            assert np.all(cols[:, 3:] == 0.0)
+            _, cols = models.evaluate_columns(family, np.array([vec]), x, which)
+            assert np.all(cols[0, :, 3:] == 0.0)
 
 
     @pytest.mark.parametrize("which", ["pdf", "ccdf"])
     @pytest.mark.parametrize("family", models.FAMILIES)
     def test_stacked_rows_equal_single_vector_calls(self, family, which):
         # every row of a (k, p) stack, a one-row stack included, equals the
-        # call on that row alone bit for bit; a row with a zero-mass
-        # component runs alone inside a stack
+        # call on the one-row stack of that row bit for bit, also where a
+        # row's component has zero mass: in one row, in every row, or in a
+        # one-row stack
         rng = np.random.default_rng(29)
         x = np.geomspace(30.0, 60000.0, 60)
         if which == "ccdf":
             x = np.concatenate(([0.0], x))
         stack = np.array([param_pack(m) for m in random_models(rng, 6) if m.family == family])
-        zero_mass = stack[0].copy()
-        zero_mass[-3] = 0.0
-        for rows in (stack, stack[:1], np.vstack((stack, zero_mass))):
+        zero_mass = stack.copy()
+        zero_mass[:, -3] = 0.0
+        for rows in (stack, stack[:1], np.vstack((stack, zero_mass[:1])), zero_mass,
+                     zero_mass[:1]):
             values, cols = models.evaluate_columns(family, rows, x, which)
             assert values.shape == (len(rows), x.size)
             assert cols.shape == (len(rows), x.size, rows.shape[1])
             for row, row_values, row_cols in zip(rows, values, cols):
-                alone_values, alone_cols = models.evaluate_columns(family, row, x, which)
-                assert row_values.tobytes() == alone_values.tobytes()
-                assert row_cols.tobytes() == alone_cols.tobytes()
+                alone_values, alone_cols = models.evaluate_columns(family, row[None], x, which)
+                assert row_values.tobytes() == alone_values[0].tobytes()
+                assert row_cols.tobytes() == alone_cols[0].tobytes()
+
+    @pytest.mark.parametrize("which", ["pdf", "ccdf"])
+    @pytest.mark.parametrize("family", ["bigamma", "bilognormal"])
+    def test_zero_mass_component_makes_no_kernel_call(self, family, which, monkeypatch):
+        # the dead components' parameters make every kernel raise, so a
+        # stacked call must run them on no row; each row still equals its
+        # one-row call bit for bit, and its dead columns are 0
+        rng = np.random.default_rng(37)
+        x = np.concatenate(([0.0], np.geomspace(30.0, 60000.0, 60)))[which == "pdf":]
+        stack = np.array([param_pack(m) for m in random_models(rng, 6) if m.family == family])
+        dead = (0.0, 77.0, 500.0) if family == "bigamma" else (0.0, 1000.0, 1e-3)
+        stack[1::2, 3:] = dead
+        stack[2, :3] = dead
+
+        def refusing(kernel):
+            def guarded(*args):
+                # a gamma shape of 77 or a normal CDF argument beyond 1e5
+                # comes only from a dead component
+                if any(np.any((np.asarray(a) == 77.0) | (np.abs(a) > 1e5)) for a in args):
+                    raise AssertionError("kernel called on a zero-mass component")
+                return kernel(*args)
+            return guarded
+
+        for name in ("log_gamma", "digamma", "reg_upper_incomplete_gamma", "std_normal_cdf"):
+            monkeypatch.setattr(models, name, refusing(getattr(models, name)))
+        values, cols = models.evaluate_columns(family, stack, x, which)
+        for i, row in enumerate(stack):
+            alone_values, alone_cols = models.evaluate_columns(family, row[None], x, which)
+            assert values[i].tobytes() == alone_values[0].tobytes()
+            assert cols[i].tobytes() == alone_cols[0].tobytes()
+            for c in range(0, 6, 3):
+                if row[c] == 0.0:
+                    assert np.all(cols[i, :, c:c + 3] == 0.0)
 
 
 def _bits(value):
