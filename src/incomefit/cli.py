@@ -158,14 +158,16 @@ def _plot_path(out_path):
 
 
 def cmd_fit(args):
-    hist = _load(args.input)
     config = _build_config(args)
+    if args.log_density and config.target == CCDF:
+        raise _UsageError("--log-density applies only to the pdf target")
+    hist = _load(args.input)
     curve = _curve_for(hist, config.target, args.normalize, args.log_density)
     result = fit(curve, args.family, config)
 
-    manifest = _manifest(
-        "fit", (str(args.input),), _config_items(config) + (("family", args.family),)
-    )
+    manifest = _manifest("fit", (str(args.input),), _config_items(config) + (
+        ("family", args.family), ("normalize", str(args.normalize)),
+        ("log_density", str(args.log_density))))
     doc = "\n".join(f"# {line}" for line in manifest)
     doc += "\n" + format_fit_result(result)
     _write_atomic(args.out, doc)
@@ -239,7 +241,8 @@ def cmd_table(args):
         "table",
         [path for _, path, _ in inputs],
         _config_items(base_config)
-        + (("families", ",".join(families)), ("targets", ",".join(targets))),
+        + (("families", ",".join(families)), ("targets", ",".join(targets)),
+           ("normalize", str(args.normalize))),
     )
 
     widths = [max(len(headers[0]), *(len(str(y)) for y, _ in rows))]

@@ -212,8 +212,39 @@ class TestFit:
         assert code == 0
         assert float(read_kv(out)["r_squared"]) >= 0.999
 
+    def test_manifest_records_how_the_curve_was_built(self, tmp_path):
+        # a per-USD fit and a normalized per-ln-income fit of one file fit
+        # different curves, so their manifests must differ
+        docs = []
+        for flags in ([], ["--log-density", "--normalize"]):
+            out = tmp_path / f"result{len(docs)}.txt"
+            assert main(["fit", str(WORLD3), "--family", "lognormal", "--out", str(out)]
+                        + flags) == 0
+            docs.append(strip_timestamp(out.read_text()).splitlines())
+        per_usd, per_log = ([ln for ln in doc if ln.startswith("# config ")] for doc in docs)
+        assert "# config normalize: False" in per_usd
+        assert "# config log_density: False" in per_usd
+        assert "# config normalize: True" in per_log
+        assert "# config log_density: True" in per_log
+        assert per_usd != per_log
+
+    def test_log_density_with_ccdf_target_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "result.txt"
+        code = main(["fit", str(WORLD3), "--family", "lognormal", "--target", "ccdf",
+                     "--log-density", "--out", str(out)])
+        assert code == 1
+        assert "--log-density" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTable:
+    def test_manifest_records_normalize(self, tmp_path):
+        for flags in ([], ["--normalize"]):
+            out = tmp_path / "table.txt"
+            assert main(["table", "--input", f"2018={WORLD3}", "--families", "gamma",
+                         "--out", str(out)] + flags) == 0
+            assert f"# config normalize: {bool(flags)}" in out.read_text().splitlines()
+
     def test_grid_matches_individual_fits(self, tmp_path):
         out = tmp_path / "table.txt"
         code = main(
