@@ -18,6 +18,10 @@ fixtures:
 - evals: every parameter vector `_predict` evaluates, the starts' first
   evaluations included; each is one set of ordinates and columns;
 - merged: the starts retired because they reached another start's point;
+- 1 row, 2-7 rows, 8 rows: the `models.evaluate_columns` calls, the starts'
+  first evaluations included, by the number of parameter vectors they
+  score. A one-row call runs in Python floats, a larger one in numpy
+  columns, so this is the traffic each of the two sizes serves;
 - us/round: process CPU time spent in `fitter._lm_run`, over rounds, in
   microseconds; the best of REPEATS passes over all 24 fits.
 
@@ -38,13 +42,20 @@ from incomefit.empirical import load_histogram, to_ccdf_curve, to_pdf_curve  # n
 
 FIXTURES = ("bimodal", "chinaindia", "world3")
 TARGETS = ("pdf", "ccdf")
-COUNTS = ("rounds", "proposals", "iterations", "evals", "merged")
+COUNTS = ("rounds", "proposals", "iterations", "evals", "merged",
+          "1 row", "2-7 rows", "8 rows")
 REPEATS = 5
 
 
 def counting(counts):
-    """Wrap fitter._lm_run so that it adds to counts."""
-    lm_run = fitter._lm_run
+    """Wrap fitter._lm_run and models.evaluate_columns so that they add to
+    counts."""
+    lm_run, evaluate_columns = fitter._lm_run, models.evaluate_columns
+
+    def counted_evaluate_columns(family, stack, *args):
+        k = len(stack)
+        counts["1 row" if k == 1 else "8 rows" if k == 8 else "2-7 rows"] += 1
+        return evaluate_columns(family, stack, *args)
 
     def counted_lm_run(family, starts, *args):
         start = time.process_time()
@@ -60,6 +71,7 @@ def counting(counts):
         return out
 
     fitter._lm_run = counted_lm_run
+    models.evaluate_columns = counted_evaluate_columns
 
 
 def main():

@@ -1,12 +1,15 @@
 """Model families: closed forms, mixture linearity, sampling, packing."""
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import incomefit
 from incomefit import models
 from incomefit.errors import DomainError, OverflowRangeError, PreconditionError
 from incomefit.models import (
@@ -518,3 +521,13 @@ class TestSpecValidation:
         assert lines[0] == "family = bigamma"
         keys = [line.split(" = ")[0] for line in lines[1:]]
         assert keys == ["A1", "n1", "m1", "A2", "n2", "m2"]
+
+
+def test_every_exported_name_exists():
+    # a deleted function must not stay behind in its module's __all__
+    modules = [incomefit] + [importlib.import_module(f"incomefit.{info.name}")
+                             for info in pkgutil.iter_modules(incomefit.__path__)]
+    assert sum(hasattr(m, "__all__") for m in modules) >= 5
+    missing = [(m.__name__, name) for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []
