@@ -14,15 +14,15 @@ one proposal of every running start in a single call of
 models.evaluate_columns on their (k, p) stack, the fitter's one entry into
 the model core, which gives the ordinates and the Jacobian columns. Each
 start keeps its own damping, iteration count and stop, and every batched
-step is bit for bit the one-start computation. A running start that comes within
-_MERGE_RADIUS = 1e-2 (max-norm in the unconstrained coordinates) of another
-start, running or finished, whose sum of squares is lower (or equal, at a
-lower start index) is merged: it leaves the batch with no result. Every
-start that is not merged ends bit for bit as it does running alone. The
-arrays are numpy stacks, one row per running start; each start's scalars
-(sum of squares, damping, iteration count) are Python floats and ints. Only
-the gain ratio's (2 rho - 1)^3 stays in numpy, whose power may differ from
-Python's in the last bit.
+step is bit for bit the one-start computation. A running start that comes
+within _MERGE_RADIUS = 1e-2 (max-norm in the unconstrained coordinates) of
+another start, running or finished, whose sum of squares is lower (or
+equal, at a lower start index) is merged: it leaves the batch with no
+result. Every start that is not merged ends bit for bit as it does running
+alone. The arrays are numpy stacks, one row per running start; each start's
+scalars (sum of squares, damping, iteration count) are Python floats and
+ints. Only the gain ratio's (2 rho - 1)^3 stays in numpy, whose power may
+differ from Python's in the last bit.
 """
 
 import math
