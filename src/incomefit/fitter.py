@@ -58,19 +58,11 @@ _RESIDUAL_TOL = 1e-12  # converged when a step cuts SS by at most tol * SS
 _MERGE_RADIUS = 1e-2  # max-norm distance in theta within which starts merge
 _MERGED = "merged"  # _lm_run's result for a merged start
 
-# which slots of the canonical parameter vector are strictly positive and
-# therefore fitted as logarithms (mu of a log-normal stays linear); these are
-# the coordinates models.evaluate_columns differentiates in
-_POSITIVE_SLOTS = {
-    "gamma": np.array((True, True, True)),
-    "lognormal": np.array((True, False, True)),
-    "bigamma": np.array((True, True, True, True, True, True)),
-    "bilognormal": np.array((True, False, True, True, False, True)),
-}
-# exclusive lower bounds: shapes, scales and sigmas must stay > 0, while an
-# amplitude (slot 0 of a component) may underflow to 0, a zero-mass component
-_LOWER_BOUNDS = {family: np.where(pos & (np.arange(pos.size) % 3 > 0), 0.0, -np.inf)
-                 for family, pos in _POSITIVE_SLOTS.items()}
+# models.LOG_SLOTS marks the slots fitted as logarithms. Exclusive lower
+# bounds: shapes, scales and sigmas must stay > 0, while an amplitude (slot 0
+# of a component) may underflow to 0, a zero-mass component
+_LOWER_BOUNDS = {family: np.where(logs & (np.arange(logs.size) % 3 > 0), 0.0, -np.inf)
+                 for family, logs in models.LOG_SLOTS.items()}
 
 
 @dataclass(frozen=True)
@@ -132,14 +124,14 @@ def r_squared(observed, predicted, weights=None):
 
 def _to_unconstrained(family, vec):
     theta = np.array(vec, dtype=float)
-    pos = _POSITIVE_SLOTS[family]
-    theta[pos] = np.log(np.maximum(theta[pos], 1e-300))
+    logs = models.LOG_SLOTS[family]
+    theta[logs] = np.log(np.maximum(theta[logs], 1e-300))
     return theta
 
 
 def _from_unconstrained(family, theta):
     with np.errstate(over="ignore", under="ignore"):
-        return np.where(_POSITIVE_SLOTS[family], np.exp(theta), theta)
+        return np.where(models.LOG_SLOTS[family], np.exp(theta), theta)
 
 
 def _predict(family, theta, x, target):
@@ -159,7 +151,7 @@ def _predict(family, theta, x, target):
     """
     k, p = theta.shape
     with np.errstate(all="ignore"):
-        vec = np.where(_POSITIVE_SLOTS[family], np.exp(theta), theta)
+        vec = np.where(models.LOG_SLOTS[family], np.exp(theta), theta)
         # finite, and > 0 in the shape, scale and sigma slots, in one pass
         ok = ((vec > _LOWER_BOUNDS[family]) & (vec < np.inf)).all(axis=1)
         if not ok.all():

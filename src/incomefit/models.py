@@ -19,6 +19,7 @@ Canonical parameter vectors:
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,6 @@ __all__ = [
     "param_unpack",
     "format_model",
 ]
-
-FAMILIES = ("gamma", "lognormal", "bigamma", "bilognormal")
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _INF = math.inf
@@ -102,46 +101,29 @@ class GammaParams:
 
 
 @dataclass(frozen=True)
-class BiGammaParams:
+class _Mixture:
+    """Two components of one kind, canonically ordered by ascending _order."""
+
+    component1: object
+    component2: object
+
+    def __post_init__(self):
+        if getattr(self.component1, self._order) > getattr(self.component2, self._order):
+            c1, c2 = self.component2, self.component1
+            object.__setattr__(self, "component1", c1)
+            object.__setattr__(self, "component2", c2)
+
+
+class BiGammaParams(_Mixture):
     """Two gamma components, canonically ordered by ascending scale."""
 
-    component1: GammaParams
-    component2: GammaParams
-
-    def __post_init__(self):
-        if self.component1.scale > self.component2.scale:
-            c1, c2 = self.component2, self.component1
-            object.__setattr__(self, "component1", c1)
-            object.__setattr__(self, "component2", c2)
+    _order = "scale"
 
 
-@dataclass(frozen=True)
-class BiLogNormalParams:
+class BiLogNormalParams(_Mixture):
     """Two log-normal components, canonically ordered by ascending mu."""
 
-    component1: LogNormalParams
-    component2: LogNormalParams
-
-    def __post_init__(self):
-        if self.component1.mu > self.component2.mu:
-            c1, c2 = self.component2, self.component1
-            object.__setattr__(self, "component1", c1)
-            object.__setattr__(self, "component2", c2)
-
-
-_PARAMS_TYPE = {
-    "gamma": GammaParams,
-    "lognormal": LogNormalParams,
-    "bigamma": BiGammaParams,
-    "bilognormal": BiLogNormalParams,
-}
-
-_PARAM_NAMES = {
-    "gamma": ("A", "n", "m"),
-    "lognormal": ("A", "mu", "sigma"),
-    "bigamma": ("A1", "n1", "m1", "A2", "n2", "m2"),
-    "bilognormal": ("A1", "mu1", "sigma1", "A2", "mu2", "sigma2"),
-}
+    _order = "mu"
 
 
 @dataclass(frozen=True)
@@ -167,8 +149,8 @@ class ModelSpec:
                 f"got {type(self.params).__name__}"
             )
         p = self.params
-        vector = (_slots(p.component1) + _slots(p.component2)
-                  if is_bimodal(self.family) else _slots(p))
+        parts = (p.component1, p.component2) if is_bimodal(self.family) else (p,)
+        vector = tuple(float(getattr(c, f.name)) for c in parts for f in fields(c))
         object.__setattr__(self, "_vector", vector)
 
 
@@ -200,15 +182,15 @@ def family_param_names(family):
 
 
 def is_bimodal(family):
-    return family in ("bigamma", "bilognormal")
+    return family in _UNIMODAL
 
 
 def unimodal_counterpart(family):
-    return {"bigamma": "gamma", "bilognormal": "lognormal"}[family]
+    return _UNIMODAL[family]
 
 
 def bimodal_counterpart(family):
-    return {"gamma": "bigamma", "lognormal": "bilognormal"}[family]
+    return _BIMODAL[family]
 
 
 def total_amplitude(model):
@@ -314,18 +296,38 @@ def _lognormal_columns(amplitude, mu, sigma, x, which, f):
     return f, d_mu, d_sigma
 
 
-_COMPONENT = {
-    "gamma": _gamma_component,
-    "lognormal": _lognormal_component,
-    "bigamma": _gamma_component,
-    "bilognormal": _lognormal_component,
+class _Kind(NamedTuple):
+    """A component kind; a family is a kind, one component, or "bi" + kind,
+    two. Per component slot, names gives its name and logs whether it is
+    fitted, and differentiated by evaluate_columns, as a logarithm: the
+    amplitude and every slot that must be > 0 are."""
+
+    record: type
+    mixture: type
+    names: tuple
+    logs: tuple
+    component: object
+    columns: object
+
+
+_KINDS = {
+    "gamma": _Kind(GammaParams, BiGammaParams, ("A", "n", "m"), (True, True, True),
+                   _gamma_component, _gamma_columns),
+    "lognormal": _Kind(LogNormalParams, BiLogNormalParams, ("A", "mu", "sigma"),
+                       (True, False, True), _lognormal_component, _lognormal_columns),
 }
-_COLUMNS = {
-    "gamma": _gamma_columns,
-    "lognormal": _lognormal_columns,
-    "bigamma": _gamma_columns,
-    "bilognormal": _lognormal_columns,
-}
+# each family's kind and component count; the tables keyed by family are built
+# here, once, so that a model call makes one lookup
+_FAMILY = {prefix + kind: (kind, n) for n, prefix in ((1, ""), (2, "bi")) for kind in _KINDS}
+FAMILIES = tuple(_FAMILY)
+_UNIMODAL = {family: kind for family, (kind, n) in _FAMILY.items() if n == 2}
+_BIMODAL = {kind: family for family, kind in _UNIMODAL.items()}
+_PARAMS_TYPE = {f: (_KINDS[k].record, _KINDS[k].mixture)[n - 1] for f, (k, n) in _FAMILY.items()}
+_PARAM_NAMES = {f: _KINDS[k].names if n == 1 else
+                tuple(s + i for i in "12" for s in _KINDS[k].names)
+                for f, (k, n) in _FAMILY.items()}
+LOG_SLOTS = {f: np.array(_KINDS[k].logs * n) for f, (k, n) in _FAMILY.items()}
+_CORE = {f: (_KINDS[k].component, _KINDS[k].columns) for f, (k, _) in _FAMILY.items()}
 
 
 def evaluate_columns(family, stack, x, which):
@@ -344,7 +346,7 @@ def evaluate_columns(family, stack, x, which):
     row fails the whole call.
     """
     k, p = stack.shape
-    component, columns = _COMPONENT[family], _COLUMNS[family]
+    component, columns = _CORE[family]
     # every third slot of the flat stack is an amplitude, all >= 0; tested in
     # floats, which costs a tenth of numpy's all() on these sizes
     every = all(stack.ravel()[::3].tolist())
@@ -382,7 +384,7 @@ def _evaluate_model(model, x, which):
         if which != "pdf" and not (x >= 0.0).all():
             raise DomainError("x must be >= 0")
     v = model._vector
-    component = _COMPONENT[model.family]
+    component = _CORE[model.family][0]
     out = component(v[0], v[1], v[2], x, which)
     if len(v) == 6:
         out = out + component(v[3], v[4], v[5], x, which)
@@ -431,7 +433,7 @@ def sample(model, count, seed):
         k = int(mask.sum())
         if k == 0:
             continue
-        if model.family in ("lognormal", "bilognormal"):
+        if _FAMILY[model.family][0] == "lognormal":
             out[mask] = np.exp(a + b * rng.standard_normal(k))
         else:
             out[mask] = b * rng.standard_gamma(a, k)
@@ -441,13 +443,6 @@ def sample(model, count, seed):
 def param_pack(model):
     """Flatten a model to its canonical parameter vector."""
     return np.array(model._vector)
-
-
-def _slots(p):
-    """A component record's three slots of the canonical vector, as floats."""
-    if isinstance(p, GammaParams):
-        return (float(p.amplitude), float(p.shape), float(p.scale))
-    return (float(p.amplitude), float(p.mu), float(p.sigma))
 
 
 def param_unpack(family, vector):
@@ -461,10 +456,9 @@ def param_unpack(family, vector):
             f"family {family!r} needs {expected} parameters, got {vec.shape}"
         )
     v = [float(t) for t in vec]
-    if not is_bimodal(family):
-        return ModelSpec(family, _PARAMS_TYPE[family](*v))
-    kind = _PARAMS_TYPE[unimodal_counterpart(family)]
-    return ModelSpec(family, _PARAMS_TYPE[family](kind(*v[:3]), kind(*v[3:])))
+    kind = _KINDS[_FAMILY[family][0]]
+    parts = [kind.record(*v[i:i + 3]) for i in range(0, len(v), 3)]
+    return ModelSpec(family, kind.mixture(*parts) if len(parts) == 2 else parts[0])
 
 
 def format_model(model):
