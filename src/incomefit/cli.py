@@ -91,7 +91,7 @@ def _parse_config_file(path):
     overrides = {}
     defaults = {f.name: f.default for f in fields(FitConfig)}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -140,7 +140,8 @@ def _parse_float(token, lineno, column):
 def load_histogram(source):
     """Read a histogram from a path or text stream; rows sorted by bin edge."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return load_histogram(fh)
 
     label = ""

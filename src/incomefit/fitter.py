@@ -84,6 +84,8 @@ class FitConfig:
             raise PreconditionError("multistart_count must be >= 1")
         if self.weighting not in ("uniform", "relative"):
             raise PreconditionError("weighting must be 'uniform' or 'relative'")
+        if self.seed < 0:
+            raise PreconditionError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,36 @@ class TestFit:
         err = capsys.readouterr().err
         assert str(config) in err and "line 2" in err
 
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "result.txt"
+        code = main(["fit", str(BIMODAL), "--family", "gamma", "--seed", "-1",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
+        assert not out.exists()
+
+    def test_negative_seed_in_config_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "fit.conf"
+        config.write_text("seed = -3\n")
+        out = tmp_path / "result.txt"
+        code = main(["fit", str(BIMODAL), "--family", "gamma", "--config", str(config),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {config}: line 1: seed must be >= 0\n")
+        assert not out.exists()
+
+    def test_config_file_with_byte_order_mark_and_crlf(self, tmp_path):
+        config = tmp_path / "fit.conf"
+        config.write_bytes(b"\xef\xbb\xbfseed = 4\r\nmultistart_count = 2\r\n")
+        out = tmp_path / "result.txt"
+        code = main(["fit", str(BIMODAL), "--family", "lognormal", "--config", str(config),
+                     "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert "# config seed: 4" in text
+        assert "# config multistart_count: 2" in text
+
     def test_readme_lists_the_config_keys(self):
         readme = (FIXTURES.parent / "README.md").read_text()
         paragraph = readme[readme.index("`--config` points to"):]
@@ -314,6 +344,13 @@ class TestTable:
             ["--families", "gamma"],
         ):
             assert main(["table", *flags, "--out", str(tmp_path / "t.txt")]) == 1, flags
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        code = main(["table", "--input", f"1988={BIMODAL}", "--families", "gamma",
+                     "--seed", "-2", "--out", str(tmp_path / "t.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_failing_input_aborts_with_path(self, tmp_path, capsys):

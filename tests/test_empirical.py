@@ -96,6 +96,17 @@ class TestLoad:
         h = load_histogram(io.StringIO(text))
         assert h.bin_edges == pytest.approx([100.0, 1000.0, 10000.0], rel=1e-12)
 
+    @pytest.mark.parametrize("text", [BASIC, "bin_low,bin_high,mass\n100,1000,0.4\n1000,9000,0.6\n"],
+                             ids=["comments-first", "header-first"])
+    def test_byte_order_mark_and_crlf_load_as_plain(self, tmp_path, text):
+        plain, exported = tmp_path / "plain.csv", tmp_path / "exported.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        exported.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        a, b = load_histogram(plain), load_histogram(exported)
+        assert np.array_equal(a.bin_edges, b.bin_edges)
+        assert np.array_equal(a.mass, b.mass)
+        assert (a.label, a.currency_note) == (b.label, b.currency_note)
+
     def test_round_trip_bit_exact(self):
         h = load_histogram(io.StringIO(BASIC))
         again = load_histogram(io.StringIO(dumps_histogram(h)))

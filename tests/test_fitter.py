@@ -526,6 +526,11 @@ class TestConfig:
         with pytest.raises(TypeError):
             FitConfig(init_strategy="auto")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="seed must be >= 0"):
+            FitConfig(seed=-1)
+        assert FitConfig(seed=0).seed == 0
+
     def test_relative_weighting_fit(self):
         truth = TRUTHS["gamma"]
         curve = exact_curve(truth, "ccdf")
