@@ -351,13 +351,10 @@ def rebin(hist, new_edges):
             f"[{old[0]!r}, {old[-1]!r}]"
         )
 
-    log_old = np.log(old)
+    log_old = np.log(old)[:, None]
     log_new = np.log(new)
-    widths = np.diff(log_old)
-    out = np.zeros(new.size - 1)
-    for j, (m, a, b) in enumerate(zip(hist.mass, log_old[:-1], log_old[1:])):
-        if m == 0.0:
-            continue
-        overlap = np.minimum(log_new[1:], b) - np.maximum(log_new[:-1], a)
-        out += m * np.clip(overlap, 0.0, None) / widths[j]
+    # overlap of source bin i with new bin j in log income, row i
+    overlap = np.minimum(log_new[1:], log_old[1:]) - np.maximum(log_new[:-1], log_old[:-1])
+    share = hist.mass[:, None] * np.clip(overlap, 0.0, None) / np.diff(log_old, axis=0)
+    out = share.sum(axis=0)
     return IncomeHistogram(new, out, label=hist.label, currency_note=hist.currency_note)

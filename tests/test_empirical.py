@@ -264,6 +264,36 @@ class TestRebin:
             out = rebin(h, new_edges)
             assert abs(out.total_mass() - h.total_mass()) <= 1e-12
 
+    def test_equals_the_per_bin_loop(self):
+        # the reference: each source bin's mass added in turn, in log income
+        def loop(hist, new):
+            log_old, log_new = np.log(hist.bin_edges), np.log(new)
+            out = np.zeros(new.size - 1)
+            for j, m in enumerate(hist.mass):
+                overlap = (np.minimum(log_new[1:], log_old[j + 1])
+                           - np.maximum(log_new[:-1], log_old[j]))
+                out += m * np.clip(overlap, 0.0, None) / (log_old[j + 1] - log_old[j])
+            return out
+
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            h = random_histogram(rng)
+            mass = np.where(rng.random(h.n_bins) < 0.3, 0.0, h.mass)
+            h = IncomeHistogram(h.bin_edges, mass if mass.sum() > 0.0 else h.mass)
+            new = np.sort(rng.uniform(h.bin_edges[0], h.bin_edges[-1], int(rng.integers(3, 60))))
+            assert np.array_equal(rebin(h, new).mass, loop(h, new))
+
+    def test_zero_mass_bins_stay_empty(self):
+        edges = np.geomspace(10.0, 1e5, 11)
+        mass = np.array([0.1, 0.0, 0.0, 0.3, 0.2, 0.0, 0.1, 0.2, 0.0, 0.1])
+        h = IncomeHistogram(edges, mass)
+        # every source edge, and the log midpoint of every source bin
+        out = rebin(h, np.sort(np.concatenate((edges, np.sqrt(edges[:-1] * edges[1:])))))
+        assert abs(out.total_mass() - h.total_mass()) <= 1e-12
+        halves = out.mass.reshape(-1, 2)
+        assert np.all(halves[mass == 0.0] == 0.0)
+        assert np.all(halves[mass > 0.0] > 0.0)
+
     def test_span_violation(self):
         h = load_histogram(io.StringIO(BASIC))
         with pytest.raises(DomainError):
