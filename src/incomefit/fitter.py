@@ -436,7 +436,7 @@ def _side_refine(x, y, subfamily, start):
 def _valley_split_init(x, y, family):
     subfamily = models.unimodal_counterpart(family)
     split = _find_valley(x, y)
-    if split is None or not (x[0] < split < x[-1]):
+    if split is None:
         split = _median_split(x, y)
     left = x <= split
     right = ~left

@@ -237,6 +237,37 @@ class TestInitialize:
         init = initialize(curve, "bilognormal")
         assert init.family == "bilognormal"
 
+    @pytest.mark.parametrize("family", ["bigamma", "bilognormal"])
+    def test_half_split_when_the_mass_sits_in_the_first_two_bins(self, monkeypatch, family):
+        # no interior valley, and the median split leaves two points on the
+        # left: each side gets half of the points instead
+        x = np.geomspace(100.0, 10000.0, 20)
+        y = np.zeros(20)
+        y[:2] = 1.0
+        assert _find_valley(x, y) is None
+        assert fitter._median_split(x, y) == x[1]
+        sides, moments = [], fitter._moments_params
+        monkeypatch.setattr(fitter, "_moments_params",
+                            lambda xs, *args: sides.append(xs.size) or moments(xs, *args))
+        init = initialize(EmpiricalCurve(x, y, "pdf"), family)
+        assert sides == [10, 10]
+        assert init.family == family
+
+    def test_one_point_sides_take_their_ordinate_as_mass(self):
+        # a curve too short to fit: each half holds one point, whose ordinate
+        # stands in for the side's mass
+        x, y = np.array([100.0, 10000.0]), np.array([0.3, 0.7])
+        init = initialize(EmpiricalCurve(x, y, "pdf"), "bigamma")
+        assert models.param_pack(init)[::3].tolist() == [0.3, 0.7]
+
+    def test_single_nonzero_bin_gives_zero_variance_gamma_moments(self):
+        x = np.linspace(100.0, 1000.0, 10)
+        y = np.zeros(10)
+        y[4] = 2.0
+        init = initialize(EmpiricalCurve(x, y, "pdf"), "gamma")
+        # the fallback shape, at the bin's income as the scale
+        assert (init.params.amplitude, init.params.shape, init.params.scale) == (200.0, 1.5, 500.0)
+
     def test_explicit_passthrough(self):
         spec = TRUTHS["bigamma"]
         curve = exact_curve(spec, "pdf")
