@@ -353,7 +353,8 @@ def rebin(hist, new_edges):
 
     log_old = np.log(old)[:, None]
     log_new = np.log(new)
-    # overlap of source bin i with new bin j in log income, row i
+    # (i, j): the overlap of source bin i with new bin j, in log income; the
+    # sum over i runs in order, bit for bit as adding the rows one by one
     overlap = np.minimum(log_new[1:], log_old[1:]) - np.maximum(log_new[:-1], log_old[:-1])
     share = hist.mass[:, None] * np.clip(overlap, 0.0, None) / np.diff(log_old, axis=0)
     out = share.sum(axis=0)

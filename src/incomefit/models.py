@@ -297,10 +297,10 @@ def _lognormal_columns(amplitude, mu, sigma, x, which, f):
 
 
 class _Kind(NamedTuple):
-    """A component kind; a family is a kind, one component, or "bi" + kind,
-    two. Per component slot, names gives its name and logs whether it is
-    fitted, and differentiated by evaluate_columns, as a logarithm: the
-    amplitude and every slot that must be > 0 are."""
+    """A component kind. A family is a kind (one component) or "bi" + kind
+    (two). For each of a component's three slots, names gives its name and
+    logs whether the fitter fits it, and evaluate_columns differentiates in
+    it, as a logarithm: true for the amplitude and every slot that must be > 0."""
 
     record: type
     mixture: type
