@@ -489,7 +489,6 @@ def fit(curve, family, config=None, init=None):
         raise PreconditionError(
             f"curve kind {curve.kind!r} does not match fit target {config.target!r}"
         )
-    n_par = models.family_param_count(family)
     if len(curve) < _min_points(family):
         raise PreconditionError(
             f"{family} needs at least {_min_points(family)} points, "
@@ -504,19 +503,18 @@ def fit(curve, family, config=None, init=None):
         )
     theta0 = _to_unconstrained(family, models.param_pack(init))
 
-    rng = np.random.default_rng(config.seed)
-    starts = [theta0]
-    for _ in range(config.multistart_count - 1):
-        starts.append(theta0 + _JITTER_SIGMA * rng.standard_normal(n_par))
+    rng = np.random.default_rng(config.seed)  # a block fills row by row, as a draw per start
+    jitter = _JITTER_SIGMA * rng.standard_normal((config.multistart_count - 1, theta0.size))
+    starts = np.vstack((theta0, theta0 + jitter))
 
     outs, calls, rows = _lm_run(
-        family, starts, curve.x, curve.y, weights, config.target, config.max_iterations
+        family, starts, curve.x, curve.y, weights, curve.kind, config.max_iterations
     )
     runs = [out for out in outs if out is not None and out is not _MERGED]
     if not runs:
         raise FitFailureError(
             f"all {config.multistart_count} starts diverged fitting {family} "
-            f"({config.target}, {len(curve)} points, init {init.params!r})"
+            f"({curve.kind}, {len(curve)} points, init {init.params!r})"
         )
 
     def rank(run):
@@ -578,7 +576,7 @@ def refit_nested(curve, unimodal_result, config=None):
     family = models.bimodal_counterpart(uni_family)
 
     weights = _curve_weights(curve, config.weighting)
-    evaluate = models.pdf if config.target == PDF else models.ccdf
+    evaluate = models.pdf if curve.kind == PDF else models.ccdf
     uni_pred = evaluate(unimodal_result.model, curve.x)
     uni_ss = float(np.sum(weights * (curve.y - uni_pred) ** 2))
 

@@ -210,8 +210,6 @@ def _each(fn, *params):
 
 
 def _gamma_component(amplitude, shape, scale, x, which):
-    if isinstance(amplitude, float) and amplitude == 0.0:
-        return 0.0 if isinstance(x, float) else np.zeros_like(x)
     if which == "cdf":
         return amplitude * reg_lower_incomplete_gamma(shape, x / scale)
     if which == "ccdf":
@@ -228,8 +226,6 @@ def _gamma_component(amplitude, shape, scale, x, which):
 
 
 def _lognormal_component(amplitude, mu, sigma, x, which):
-    if isinstance(amplitude, float) and amplitude == 0.0:
-        return 0.0 if isinstance(x, float) else np.zeros_like(x)
     if which == "pdf":
         z = (np.log(x) - mu) / sigma
         # np.divide: a float x whose product underflows to 0 gives inf and
@@ -385,8 +381,9 @@ def _evaluate_model(model, x, which):
             raise DomainError("x must be >= 0")
     v = model._vector
     component = _CORE[model.family][0]
-    out = component(v[0], v[1], v[2], x, which)
-    if len(v) == 6:
+    # a zero-mass component adds 0 (x is finite here), and no kernel sees it
+    out = component(v[0], v[1], v[2], x, which) if v[0] > 0.0 else 0.0 * x
+    if len(v) == 6 and v[3] > 0.0:
         out = out + component(v[3], v[4], v[5], x, which)
     return float(out) if type(x) is float else out
 
@@ -423,16 +420,10 @@ def sample(model, count, seed):
     rng = np.random.default_rng(seed)
     comps = param_pack(model).reshape(-1, 3)
     out = np.empty(count, dtype=float)
-    if len(comps) == 1:
-        selectors = [np.ones(count, dtype=bool)]
-    else:
-        u = rng.random(count)
-        first = u < comps[0, 0]
-        selectors = [first, ~first]
-    for (_, a, b), mask in zip(comps, selectors):
+    # size-0 draws (one component's uniforms, an empty block) leave rng as it was
+    second = (rng.random((len(comps) - 1, count)) >= comps[:-1, :1]).any(axis=0)
+    for (_, a, b), mask in zip(comps, (~second, second)):
         k = int(mask.sum())
-        if k == 0:
-            continue
         if _FAMILY[model.family][0] == "lognormal":
             out[mask] = np.exp(a + b * rng.standard_normal(k))
         else:
