@@ -202,8 +202,11 @@ def _parse_table_inputs(pairs):
 
 
 def cmd_table(args):
+    base_config = _build_config(args)
     families = [f for f in (args.families or "").split(",") if f]
-    targets = [t for t in (args.targets or "").split(",") if t]
+    # without --targets, the one target that --target or the config file gives
+    targets = base_config.target if args.targets is None else args.targets
+    targets = [t for t in targets.split(",") if t]
     if not families:
         raise _UsageError("at least one family is required")
     if not targets:
@@ -220,7 +223,6 @@ def cmd_table(args):
         raise _UsageError("at least one --input YEAR=PATH is required")
 
     columns = [(f, t) for f in families for t in targets]
-    base_config = _build_config(args)
     rows = []
     for year, path, hist in inputs:
         cells = []
@@ -240,7 +242,8 @@ def cmd_table(args):
     manifest = _manifest(
         "table",
         [path for _, path, _ in inputs],
-        _config_items(base_config)
+        # the targets line names the targets used; the config target may be none
+        tuple(item for item in _config_items(base_config) if item[0] != "target")
         + (("families", ",".join(families)), ("targets", ",".join(targets)),
            ("normalize", str(args.normalize))),
     )
@@ -331,7 +334,7 @@ def build_parser():
         help="repeatable; bare PATH takes the year from the file label",
     )
     p_table.add_argument("--families", default="", help="comma-separated families")
-    p_table.add_argument("--targets", default=PDF, help="comma-separated targets")
+    p_table.add_argument("--targets", help="comma-separated; default: the config target")
     p_table.add_argument("--out", default="r2_table.txt")
     add_fit_flags(p_table)
 

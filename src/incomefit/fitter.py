@@ -381,7 +381,8 @@ def _moments_params(x, y, subfamily, mass):
     if subfamily == "gamma":
         mean = float(np.trapezoid(x * y, x)) / total
         var = float(np.trapezoid((x - mean) ** 2 * y, x)) / total
-        if var <= 0.0:
+        # relative: one nonzero bin leaves a rounding residue, not 0
+        if var <= 1e-12 * mean * mean:
             return np.array((mass, 1.5, mean))
         return np.array((mass, mean * mean / var, var / mean))
     log_x = np.log(x)
@@ -456,7 +457,8 @@ def _valley_split_init(x, y, family):
 
 
 def initialize(curve, family):
-    """Starting ModelSpec for a fit; always returns a valid spec.
+    """Starting ModelSpec for a fit. A bimodal family needs 2 density points:
+    a CCDF curve has one fewer of them than it has points.
 
     Picks by family. Unimodal families match moments: mean/variance (gamma)
     or log-mean/log-variance (log-normal), amplitude from the curve's mass.
@@ -466,6 +468,8 @@ def initialize(curve, family):
     """
     x, y = _density_points(curve)
     if models.is_bimodal(family):
+        if x.size < 2:
+            raise PreconditionError(f"{family} needs at least 2 density points, got {x.size}")
         vec = _valley_split_init(x, y, family)
     else:
         vec = _moments_params(x, y, family, _curve_mass(curve))

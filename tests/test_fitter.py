@@ -268,6 +268,25 @@ class TestInitialize:
         # the fallback shape, at the bin's income as the scale
         assert (init.params.amplitude, init.params.shape, init.params.scale) == (200.0, 1.5, 500.0)
 
+    @pytest.mark.parametrize("family", ["bigamma", "bilognormal"])
+    def test_one_density_point_is_rejected_for_bimodal_families(self, family):
+        # a 2-point CCDF curve differences to one density point: no side to split
+        curve = EmpiricalCurve([100.0, 1000.0], [0.9, 0.2], "ccdf")
+        with pytest.raises(PreconditionError, match=f"{family} needs at least 2 density "
+                                                   "points, got 1"):
+            initialize(curve, family)
+
+    def test_every_single_nonzero_bin_gives_the_fallback_gamma_shape(self):
+        # the trapezoid variance of one nonzero bin is a rounding residue on
+        # some bins; it must not start a fit at shape mean^2 / residue
+        x = np.geomspace(30.0, 60000.0, 60)
+        shapes = []
+        for i in range(x.size):
+            y = np.zeros(x.size)
+            y[i] = 0.37
+            shapes.append(initialize(EmpiricalCurve(x, y, "pdf"), "gamma").params.shape)
+        assert shapes == [1.5] * x.size
+
     def test_explicit_passthrough(self):
         spec = TRUTHS["bigamma"]
         curve = exact_curve(spec, "pdf")
