@@ -11,7 +11,15 @@ import pytest
 from conftest import FIXTURES, valley_ratio
 from incomefit import models
 from incomefit.cli import build_parser, main
-from incomefit.empirical import load_histogram, save_histogram, to_ccdf_curve, to_pdf_curve
+from incomefit.empirical import (
+    IncomeHistogram,
+    load_histogram,
+    rebin,
+    save_histogram,
+    subtract,
+    to_ccdf_curve,
+    to_pdf_curve,
+)
 from incomefit.errors import FitFailureError, PreconditionError
 from incomefit.fitter import FitConfig, fit
 
@@ -136,7 +144,7 @@ class TestFit:
         assert "# config target: pdf" in text
         assert "# config seed: 4" in text
 
-    @pytest.mark.parametrize("entry", ["seed = abc", "multistart_count = 2.5"])
+    @pytest.mark.parametrize("entry", ["seed = abc", "multistart_count = 2.5", "seed 4"])
     def test_config_value_error_exit_two(self, tmp_path, capsys, entry):
         config = tmp_path / "fit.conf"
         config.write_text(f"# fit settings\n{entry}\n")
@@ -420,6 +428,21 @@ class TestSubtract:
                      "--out", str(out)]) == 2
         assert main(["subtract", str(WORLD3), "--parts", str(path), "--rebin",
                      "--out", str(out)]) == 0
+
+    def test_rebin_leaves_a_part_on_the_world_edges_as_it_is(self, tmp_path):
+        world = load_histogram(WORLD3)
+        shares = np.random.default_rng(6).uniform(0.0, 0.9, world.n_bins)
+        part = IncomeHistogram(world.bin_edges, shares * world.mass)
+        # rebinning onto the same edges moves a mass, and so the residual, in
+        # its last bit
+        assert not np.array_equal(subtract(world, [rebin(part, world.bin_edges)]).mass,
+                                  subtract(world, [part]).mass)
+        save_histogram(part, tmp_path / "part.csv")
+        plain, rebinned = tmp_path / "plain.csv", tmp_path / "rebinned.csv"
+        for out, flags in ((plain, []), (rebinned, ["--rebin"])):
+            assert main(["subtract", str(WORLD3), "--parts", str(tmp_path / "part.csv"),
+                         "--out", str(out)] + flags) == 0
+        assert strip_manifest(rebinned.read_text()) == strip_manifest(plain.read_text())
 
     def test_zero_residual_errors(self, tmp_path):
         out = tmp_path / "residual.csv"

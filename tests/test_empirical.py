@@ -90,6 +90,25 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_histogram(io.StringIO("100,1000,0.5\n1000,2000,0.5\n"))
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("# label: x\n# no header follows\n", "missing header row", None),
+        ("bin_low,bin_high,mass\n", "no data rows", None),
+        ("bin_low,bin_high,mass\n100,1000,0.5\n0,100,0.5\n", "non-positive income 0.0", 3),
+        ("bin_mid,mass\n300,0.5\n-5,0.5\n", "non-positive income -5.0", 3),
+        ("bin_low,bin_high,mass\n100,1000,0.5\n1000,1000,0.5\n",
+         "bin_high 1000.0 not above bin_low 1000.0", 3),
+        ("bin_mid,mass\n300,0.5\n300,0.5\n", "bin_mid values must be strictly increasing",
+         None),
+        ("bin_mid,mass\n300,1.0\n", "need at least 2 midpoints to reconstruct edges", None),
+        ("bin_low,bin_high,mass\n100,1000,1.0\n", "histogram needs at least 2 bins", None),
+    ], ids=["comments-only", "header-only", "zero-bin-low", "negative-bin-mid",
+            "empty-bin", "duplicate-bin-mid", "one-bin-mid", "one-bin-edges"])
+    def test_rejected_input_is_a_parse_error(self, text, message, line):
+        with pytest.raises(ParseError) as info:
+            load_histogram(io.StringIO(text))
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
     def test_bin_mid_reconstruction(self):
         mids = np.sqrt(np.array([100.0, 1000.0]) * np.array([1000.0, 10000.0]))
         text = "bin_mid,mass\n" + "".join(f"{float(m)!r},0.5\n" for m in mids)
@@ -293,6 +312,16 @@ class TestRebin:
         halves = out.mass.reshape(-1, 2)
         assert np.all(halves[mass == 0.0] == 0.0)
         assert np.all(halves[mass > 0.0] > 0.0)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([100.0, 1000.0], "at least 3 edges"),
+        ([100.0, 1000.0, 1000.0], "strictly increasing"),
+        ([100.0, 5000.0, 1000.0], "strictly increasing"),
+    ], ids=["two-edges", "repeated-edge", "decreasing-edge"])
+    def test_bad_new_edges(self, edges, message):
+        h = load_histogram(io.StringIO(BASIC))
+        with pytest.raises(DomainError, match=message):
+            rebin(h, edges)
 
     def test_span_violation(self):
         h = load_histogram(io.StringIO(BASIC))
