@@ -315,27 +315,23 @@ class TestTable:
         header = (tmp_path / "table.txt.csv").read_text().splitlines()[0]
         assert header.split(",") == ["year", "gamma:pdf", "gamma:ccdf"]
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_targets_default_to_the_config_target(self, tmp_path, source):
+    @pytest.mark.parametrize("flags, used", [
+        (["--target", "ccdf"], "ccdf"),
+        (["--config", "{config}"], "ccdf"),
+        (["--config", "{config}", "--targets", "pdf"], "pdf"),
+    ], ids=["flag", "config", "targets-flag"])
+    def test_targets_default_to_the_config_target(self, tmp_path, flags, used):
         config = tmp_path / "fit.conf"
         config.write_text("target = ccdf\n")
-        flags = ["--target", "ccdf"] if source == "flag" else ["--config", str(config)]
         out = tmp_path / "table.txt"
         assert main(["table", "--input", f"y={BIMODAL}", "--families", "gamma",
-                     "--out", str(out)] + flags) == 0
+                     "--out", str(out)] + [f.format(config=config) for f in flags]) == 0
         header = (tmp_path / "table.txt.csv").read_text().splitlines()[0]
-        assert header.split(",") == ["year", "gamma:ccdf"]
+        assert header.split(",") == ["year", f"gamma:{used}"]
+        # the manifest names no target that no column used
         manifest = out.read_text().splitlines()
-        assert "# config targets: ccdf" in manifest
+        assert f"# config targets: {used}" in manifest
         assert not any(line.startswith("# config target:") for line in manifest)
-
-    def test_manifest_names_only_the_targets_used(self, tmp_path):
-        out = tmp_path / "table.txt"
-        assert main(["table", "--input", f"y={BIMODAL}", "--families", "gamma",
-                     "--targets", "pdf", "--target", "ccdf", "--out", str(out)]) == 0
-        header = (tmp_path / "table.txt.csv").read_text().splitlines()[0]
-        assert header.split(",") == ["year", "gamma:pdf"]
-        assert "ccdf" not in out.read_text()
 
     @pytest.mark.parametrize(
         "error, expected", [(FitFailureError, 4), (PreconditionError, 2)]
