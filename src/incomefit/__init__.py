@@ -23,7 +23,6 @@ from .models import (
     gamma_model,
     lognormal_model,
     pdf,
-    sample,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "pdf",
     "cdf",
     "ccdf",
-    "sample",
 ]

@@ -269,12 +269,7 @@ def cmd_subtract(args):
     world = _load(args.world)
     parts = [_load(p) for p in args.parts]
     if args.rebin:
-        parts = [
-            rebin(p, world.bin_edges)
-            if not np.array_equal(p.bin_edges, world.bin_edges)
-            else p
-            for p in parts
-        ]
+        parts = [rebin(p, world.bin_edges) for p in parts]
     residual = subtract(world, parts, renormalize=args.renormalize)
     for part in parts:
         print(f"removed mass {part.total_mass()!r} ({part.label or 'unlabelled'})")

@@ -17,7 +17,6 @@ Lines starting with ``#`` are comments; ``# label: ...`` and
 separators. Masses are population shares.
 """
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -251,12 +250,6 @@ def save_histogram(hist, target, extra_comments=()):
     target.write("".join(f"{lo!r},{hi!r},{m!r}\n" for lo, hi, m in rows))
 
 
-def dumps_histogram(hist, extra_comments=()):
-    buf = io.StringIO()
-    save_histogram(hist, buf, extra_comments)
-    return buf.getvalue()
-
-
 def to_pdf_curve(hist, normalize=False, per_log_income=False):
     """Empirical density curve at geometric bin midpoints.
 
@@ -336,7 +329,7 @@ def rebin(hist, new_edges):
     """Reapportion masses onto new edges, uniform in log-income within bins.
 
     The new edges must lie within the source span; total mass is conserved
-    when the spans coincide.
+    when the spans coincide. The histogram's own edges return it as it is.
     """
     new = np.asarray(new_edges, dtype=float)
     if new.ndim != 1 or new.size < 3:
@@ -344,6 +337,8 @@ def rebin(hist, new_edges):
     if np.any(np.diff(new) <= 0.0) or new[0] <= 0.0:
         raise DomainError("new_edges must be positive and strictly increasing")
     old = hist.bin_edges
+    if np.array_equal(new, old):
+        return hist
     span_slack = 1e-12 * old[-1]
     if new[0] < old[0] - span_slack or new[-1] > old[-1] + span_slack:
         raise DomainError(

@@ -26,6 +26,7 @@ differ from Python's in the last bit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +79,9 @@ class FitConfig:
     def __post_init__(self):
         if self.target not in (PDF, CCDF):
             raise PreconditionError(f"target must be {PDF!r} or {CCDF!r}")
+        for name in ("max_iterations", "multistart_count", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise PreconditionError(f"{name} must be an integer")
         if self.max_iterations < 1:
             raise PreconditionError("max_iterations must be >= 1")
         if self.multistart_count < 1:

@@ -1,6 +1,6 @@
 """The four distribution families: gamma, log-normal, and their two-component
-mixtures, with PDF / CDF / CCDF evaluation, the derivative columns a fit
-needs, and synthetic sampling.
+mixtures, with PDF / CDF / CCDF evaluation and the derivative columns a fit
+needs.
 
 Conventions
 -----------
@@ -50,7 +50,6 @@ __all__ = [
     "ccdf",
     "evaluate_columns",
     "total_amplitude",
-    "sample",
     "param_pack",
     "param_unpack",
     "format_model",
@@ -401,34 +400,6 @@ def cdf(model, x):
 def ccdf(model, x):
     """Tail mass above x >= 0; falls from the total amplitude to 0."""
     return _evaluate_model(model, x, "ccdf")
-
-
-def sample(model, count, seed):
-    """Draw incomes from a model whose amplitudes sum to 1.
-
-    Deterministic for a given seed: one uniform draw per sample selects the
-    mixture component, then each component's block is drawn in order
-    (standard normal for log-normal, shape-scale gamma for gamma).
-    """
-    if count < 1:
-        raise PreconditionError("count must be >= 1")
-    total = total_amplitude(model)
-    if abs(total - 1.0) > 1e-9:
-        raise PreconditionError(
-            f"sampling requires amplitudes summing to 1, got {total!r}"
-        )
-    rng = np.random.default_rng(seed)
-    comps = param_pack(model).reshape(-1, 3)
-    out = np.empty(count, dtype=float)
-    # size-0 draws (one component's uniforms, an empty block) leave rng as it was
-    second = (rng.random((len(comps) - 1, count)) >= comps[:-1, :1]).any(axis=0)
-    for (_, a, b), mask in zip(comps, (~second, second)):
-        k = int(mask.sum())
-        if _FAMILY[model.family][0] == "lognormal":
-            out[mask] = np.exp(a + b * rng.standard_normal(k))
-        else:
-            out[mask] = b * rng.standard_gamma(a, k)
-    return out
 
 
 def param_pack(model):

@@ -16,7 +16,6 @@ from incomefit.empirical import (
     load_histogram,
     rebin,
     save_histogram,
-    subtract,
     to_ccdf_curve,
     to_pdf_curve,
 )
@@ -429,10 +428,7 @@ class TestSubtract:
         world = load_histogram(WORLD3)
         shares = np.random.default_rng(6).uniform(0.0, 0.9, world.n_bins)
         part = IncomeHistogram(world.bin_edges, shares * world.mass)
-        # rebinning onto the same edges moves a mass, and so the residual, in
-        # its last bit
-        assert not np.array_equal(subtract(world, [rebin(part, world.bin_edges)]).mass,
-                                  subtract(world, [part]).mass)
+        assert np.array_equal(rebin(part, world.bin_edges).mass, part.mass)
         save_histogram(part, tmp_path / "part.csv")
         plain, rebinned = tmp_path / "plain.csv", tmp_path / "rebinned.csv"
         for out, flags in ((plain, []), (rebinned, ["--rebin"])):

@@ -10,9 +10,9 @@ from incomefit import models
 from incomefit.empirical import (
     EmpiricalCurve,
     IncomeHistogram,
-    dumps_histogram,
     load_histogram,
     rebin,
+    save_histogram,
     subtract,
     to_ccdf_curve,
     to_pdf_curve,
@@ -128,10 +128,13 @@ class TestLoad:
 
     def test_round_trip_bit_exact(self):
         h = load_histogram(io.StringIO(BASIC))
-        again = load_histogram(io.StringIO(dumps_histogram(h)))
+        first, second = io.StringIO(), io.StringIO()
+        save_histogram(h, first)
+        again = load_histogram(io.StringIO(first.getvalue()))
+        save_histogram(again, second)
         assert np.array_equal(h.bin_edges, again.bin_edges)
         assert np.array_equal(h.mass, again.mass)
-        assert dumps_histogram(h) == dumps_histogram(again)
+        assert first.getvalue() == second.getvalue()
 
 
 class TestPdfCurve:
@@ -264,9 +267,12 @@ class TestSubtract:
 
 class TestRebin:
     def test_identity(self):
-        h = load_histogram(io.StringIO(BASIC))
+        # 60 log-spaced bins: `mass * overlap / width` moves a few of these
+        # masses in their last bit, so the identity has to be a rule
+        edges = np.geomspace(100.0, 60000.0, 61)
+        h = IncomeHistogram(edges, np.random.default_rng(0).uniform(0.0, 1.0, 60))
         out = rebin(h, h.bin_edges)
-        assert out.mass == pytest.approx(h.mass, abs=1e-15)
+        assert np.array_equal(out.mass, h.mass)
 
     def test_log_halves_split_mass_equally(self):
         h = load_histogram(io.StringIO(BASIC))

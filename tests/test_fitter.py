@@ -575,6 +575,10 @@ class TestConfig:
             FitConfig(weighting="quadratic")
         with pytest.raises(TypeError):
             FitConfig(init_strategy="auto")
+        for name in ("max_iterations", "multistart_count", "seed"):
+            with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+                FitConfig(**{name: 2.5})
+        assert FitConfig(max_iterations=np.int64(3), seed=np.int32(1)).seed == 1
 
     def test_negative_seed_rejected(self):
         with pytest.raises(PreconditionError, match="seed must be >= 0"):

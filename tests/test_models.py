@@ -1,4 +1,4 @@
-"""Model families: closed forms, mixture linearity, sampling, packing."""
+"""Model families: closed forms, mixture linearity, packing."""
 
 import dataclasses
 import importlib
@@ -26,7 +26,6 @@ from incomefit.models import (
     param_pack,
     param_unpack,
     pdf,
-    sample,
     total_amplitude,
 )
 
@@ -134,6 +133,26 @@ class TestCdf:
     def test_domain_error_negative(self):
         with pytest.raises(DomainError):
             cdf(gamma_model(1.0, 2.0, 100.0), -1.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            gamma_model(1.0, 2.2, 1500.0),
+            lognormal_model(1.0, 7.0, 0.7),
+            bigamma_model(0.6, 2.0, 400.0, 0.4, 4.0, 3000.0),
+            bilognormal_model(0.55, math.log(600.0), 0.6, 0.45, math.log(9000.0), 0.55),
+        ],
+        ids=["gamma", "lognormal", "bigamma", "bilognormal"],
+    )
+    def test_large_sorted_array_matches_scipy(self, model):
+        x = np.geomspace(5.0, 2e5, 10**5)
+        expected = np.zeros_like(x)
+        for amp, a, b in param_pack(model).reshape(-1, 3):
+            if "gamma" in model.family:
+                expected += amp * stats.gamma.cdf(x, a, scale=b)
+            else:
+                expected += amp * stats.lognorm.cdf(x, b, scale=math.exp(a))
+        assert np.max(np.abs(cdf(model, x) - expected)) <= 1e-13
 
 
 class TestCcdf:
@@ -356,57 +375,6 @@ class TestScalarCalls:
         for x in (1.0, np.array([1.0, 2.0])):
             with pytest.raises(OverflowRangeError):
                 fn(model, x)
-
-
-class TestSample:
-    def test_lognormal_log_mean(self):
-        draws = sample(lognormal_model(1.0, 0.0, 1.0), 10**6, seed=7)
-        assert np.log(draws).mean() == pytest.approx(0.0, abs=5e-3)
-
-    def test_gamma_mean_identity(self):
-        draws = sample(gamma_model(1.0, 2.0, 1.0), 10**6, seed=7)
-        assert draws.mean() == pytest.approx(2.0, abs=1e-2)
-
-    def test_mixture_split_fraction_region(self):
-        mu1, mu2 = math.log(500.0), math.log(8000.0)
-        model = bilognormal_model(0.5, mu1, 0.6, 0.5, mu2, 0.6)
-        threshold = math.exp(0.5 * (mu1 + mu2))
-        expected = cdf(model, threshold)
-        draws = sample(model, 10**6, seed=7)
-        assert (draws < threshold).mean() == pytest.approx(expected, abs=2e-3)
-
-    @pytest.mark.parametrize(
-        "model",
-        [
-            gamma_model(1.0, 2.2, 1500.0),
-            lognormal_model(1.0, 7.0, 0.7),
-            bigamma_model(0.6, 2.0, 400.0, 0.4, 4.0, 3000.0),
-            bilognormal_model(0.55, math.log(600.0), 0.6, 0.45, math.log(9000.0), 0.55),
-        ],
-        ids=["gamma", "lognormal", "bigamma", "bilognormal"],
-    )
-    def test_kolmogorov_smirnov_distance(self, model):
-        n = 10**6
-        draws = np.sort(sample(model, n, seed=42))
-        model_cdf = cdf(model, draws)
-        ranks = np.arange(1, n + 1) / n
-        ks = max(
-            float(np.max(np.abs(ranks - model_cdf))),
-            float(np.max(np.abs(ranks - 1.0 / n - model_cdf))),
-        )
-        assert ks <= 0.005
-
-    def test_determinism(self):
-        model = bigamma_model(0.5, 2.0, 300.0, 0.5, 3.0, 5000.0)
-        assert np.array_equal(sample(model, 1000, seed=3), sample(model, 1000, seed=3))
-
-    def test_rejects_unnormalized_amplitudes(self):
-        with pytest.raises(PreconditionError):
-            sample(gamma_model(0.9, 2.0, 100.0), 10, seed=1)
-        with pytest.raises(PreconditionError):
-            sample(bilognormal_model(0.6, 5.0, 0.5, 0.6, 8.0, 0.5), 10, seed=1)
-        with pytest.raises(PreconditionError):
-            sample(gamma_model(1.0, 2.0, 100.0), 0, seed=1)
 
 
 class TestPackUnpack:
