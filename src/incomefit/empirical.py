@@ -123,19 +123,6 @@ class EmpiricalCurve:
         return self.x.size
 
 
-def _split_row(line):
-    if "," in line:
-        return [f.strip() for f in line.split(",")]
-    return line.split()
-
-
-def _parse_float(token, lineno, column):
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"column {column!r}: cannot parse {token!r} as a number", lineno)
-
-
 def load_histogram(source):
     """Read a histogram from a path or text stream; rows sorted by bin edge."""
     if isinstance(source, (str, Path)):
@@ -143,77 +130,76 @@ def load_histogram(source):
         with open(source, "r", encoding="utf-8-sig") as fh:
             return load_histogram(fh)
 
-    label = ""
-    currency = ""
+    meta = {"label": "", "currency": ""}
     header = None
-    rows = []  # (lineno, values)
+    rows = []  # [value per column in cols..., lineno]
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            for key in ("label", "currency"):
-                prefix = key + ":"
-                if body.lower().startswith(prefix):
-                    value = body[len(prefix):].strip()
-                    if key == "label":
-                        label = value
-                    else:
-                        currency = value
+            key, colon, value = line.lstrip("#").strip().partition(":")
+            if colon and key.lower() in meta:
+                meta[key.lower()] = value.strip()
             continue
+        fields = line.split(",") if "," in line else line.split()
         if header is None:
-            header = [h.strip().lower() for h in _split_row(line)]
+            header = [h.strip().lower() for h in fields]
+            if {"bin_low", "bin_high", "mass"} <= set(header):
+                cols = [header.index(n) for n in ("bin_low", "bin_high", "mass")]
+            elif {"bin_mid", "mass"} <= set(header):
+                cols = [header.index(n) for n in ("bin_mid", "mass")]
+            else:
+                raise ParseError(
+                    "header must contain bin_low/bin_high/mass or bin_mid/mass, "
+                    f"got {header}"
+                )
             continue
-        rows.append((lineno, _split_row(line)))
+        if len(fields) < len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", lineno)
+        row = []
+        for c in cols:
+            try:
+                row.append(float(fields[c]))
+            except ValueError:
+                raise ParseError(
+                    f"column {header[c]!r}: cannot parse {fields[c].strip()!r} as a number",
+                    lineno,
+                )
+        if row[-1] < 0.0:
+            raise ParseError(f"negative mass {row[-1]!r}", lineno)
+        if row[0] <= 0.0:
+            raise ParseError(f"non-positive income {row[0]!r}", lineno)
+        row.append(lineno)
+        rows.append(row)
 
     if header is None:
         raise ParseError("missing header row")
-    if {"bin_low", "bin_high", "mass"} <= set(header):
-        mode = "edges"
-        cols = (header.index("bin_low"), header.index("bin_high"), header.index("mass"))
-    elif {"bin_mid", "mass"} <= set(header):
-        mode = "mids"
-        cols = (header.index("bin_mid"), header.index("mass"))
-    else:
-        raise ParseError(
-            "header must contain bin_low/bin_high/mass or bin_mid/mass, "
-            f"got {header}"
-        )
     if not rows:
         raise ParseError("no data rows")
+    rows.sort(key=lambda r: r[0])
+    table = np.array(rows)
 
-    parsed = []
-    names = ("bin_low", "bin_high", "mass") if mode == "edges" else ("bin_mid", "mass")
-    for lineno, fields in rows:
-        if len(fields) < len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", lineno)
-        values = tuple(_parse_float(fields[c], lineno, n) for c, n in zip(cols, names))
-        if values[-1] < 0.0:
-            raise ParseError(f"negative mass {values[-1]!r}", lineno)
-        if values[0] <= 0.0:
-            raise ParseError(f"non-positive income {values[0]!r}", lineno)
-        parsed.append((lineno, values))
-
-    parsed.sort(key=lambda item: item[1][0])
-
-    if mode == "edges":
-        lows = np.array([v[0] for _, v in parsed])
-        highs = np.array([v[1] for _, v in parsed])
-        masses = np.array([v[2] for _, v in parsed])
-        for i, (lineno, v) in enumerate(parsed):
-            if v[1] <= v[0]:
-                raise ParseError(f"bin_high {v[1]!r} not above bin_low {v[0]!r}", lineno)
-            if i and abs(lows[i] - highs[i - 1]) > 1e-9 * lows[i]:
-                raise ParseError(
-                    f"bins not contiguous: previous bin_high {highs[i-1]!r}, "
-                    f"this bin_low {lows[i]!r}",
-                    lineno,
-                )
+    if len(cols) == 3:  # bin_low, bin_high, mass
+        lows, highs, masses, lines = table.T
+        # the first bad bin in edge order: empty, or apart from the bin
+        # before it (the first bin is compared with its own bin_low)
+        empty = highs <= lows
+        apart = np.abs(lows - np.append(lows[0], highs[:-1])) > 1e-9 * lows
+        bad = np.flatnonzero(empty | apart)
+        if bad.size:
+            i = bad[0]
+            lo, hi = float(lows[i]), float(highs[i])
+            if empty[i]:
+                raise ParseError(f"bin_high {hi!r} not above bin_low {lo!r}", int(lines[i]))
+            raise ParseError(
+                f"bins not contiguous: previous bin_high {float(highs[i - 1])!r}, "
+                f"this bin_low {lo!r}",
+                int(lines[i]),
+            )
         edges = np.append(lows, highs[-1])
     else:
-        mids = np.array([v[0] for _, v in parsed])
-        masses = np.array([v[1] for _, v in parsed])
+        mids, masses, _ = table.T
         if np.any(np.diff(mids) <= 0.0):
             raise ParseError("bin_mid values must be strictly increasing")
         if mids.size < 2:
@@ -224,7 +210,9 @@ def load_histogram(source):
         edges = np.concatenate(([first], inner, [last]))
 
     try:
-        return IncomeHistogram(edges, masses, label=label, currency_note=currency)
+        return IncomeHistogram(
+            edges, masses, label=meta["label"], currency_note=meta["currency"]
+        )
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -289,15 +277,13 @@ def subtract(world, parts, renormalize=False):
     """
     residual = world.mass.astype(float).copy()
     for part in parts:
-        if part.bin_edges.shape != world.bin_edges.shape or not np.array_equal(
-            part.bin_edges, world.bin_edges
-        ):
+        if not np.array_equal(part.bin_edges, world.bin_edges):
             raise AlignmentError(
                 f"bin edges of part {part.label or '<unlabelled>'!r} do not match "
                 f"the world histogram (world spans "
-                f"[{world.bin_edges[0]!r}, {world.bin_edges[-1]!r}] with "
+                f"[{float(world.bin_edges[0])!r}, {float(world.bin_edges[-1])!r}] with "
                 f"{world.n_bins} bins; part spans "
-                f"[{part.bin_edges[0]!r}, {part.bin_edges[-1]!r}] with "
+                f"[{float(part.bin_edges[0])!r}, {float(part.bin_edges[-1])!r}] with "
                 f"{part.n_bins} bins)"
             )
         residual -= part.mass
@@ -307,8 +293,8 @@ def subtract(world, parts, renormalize=False):
         i = int(np.argmin(residual))
         raise ConsistencyError(
             f"parts exceed the world in bin {i} "
-            f"[{world.bin_edges[i]!r}, {world.bin_edges[i+1]!r}] "
-            f"by {-residual[i]!r}"
+            f"[{float(world.bin_edges[i])!r}, {float(world.bin_edges[i + 1])!r}] "
+            f"by {float(-residual[i])!r}"
         )
     residual = np.where(residual < 0.0, 0.0, residual)
 
@@ -342,8 +328,8 @@ def rebin(hist, new_edges):
     span_slack = 1e-12 * old[-1]
     if new[0] < old[0] - span_slack or new[-1] > old[-1] + span_slack:
         raise DomainError(
-            f"new edges [{new[0]!r}, {new[-1]!r}] exceed the source span "
-            f"[{old[0]!r}, {old[-1]!r}]"
+            f"new edges [{float(new[0])!r}, {float(new[-1])!r}] exceed the source span "
+            f"[{float(old[0])!r}, {float(old[-1])!r}]"
         )
 
     log_old = np.log(old)[:, None]
